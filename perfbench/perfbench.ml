@@ -219,14 +219,12 @@ let digest_inputs ~workload ~seed_str inputs =
         ops);
   Hashing.Hex.encode (Hashing.Sha256.finalize h)
 
-let label_of tl e = Timeline.label tl e
-
 let gen_release prms tl rng (_, spub, _, upub) ~phases ~epochs =
   let enc = Tre.Encryptor.create prms spub upub in
   Release_in
     (Array.init phases (fun ph ->
          Array.init epochs (fun i ->
-             let label = label_of tl (base_epoch + 1 + (ph * epochs) + i) in
+             let label = Timeline.label tl (base_epoch + 1 + (ph * epochs) + i) in
              Array.init letters_per_epoch (fun _ ->
                  let msg = Hashing.Drbg.generate rng msg_len in
                  let ct = Tre.Encryptor.encrypt enc ~release_time:label rng msg in
@@ -238,7 +236,7 @@ let gen_release prms tl rng (_, spub, _, upub) ~phases ~epochs =
 let gen_catchup prms tl rng (_, spub, _, upub) ~phases ~sessions =
   let enc = Tre.Encryptor.create prms spub upub in
   let letter e =
-    let label = label_of tl e in
+    let label = Timeline.label tl e in
     let msg = Hashing.Drbg.generate rng msg_len in
     let ct = Tre.Encryptor.encrypt enc ~release_time:label rng msg in
     { label; ct = Tre.ciphertext_to_bytes prms ct; msg }
@@ -284,7 +282,7 @@ let gen_seal prms tl rng (_, spub, _, _) ~phases ~ops =
   let op _ =
     {
       who = rand_int rng population;
-      rt = label_of tl (1 + rand_int rng (base_epoch + history));
+      rt = Timeline.label tl (1 + rand_int rng (base_epoch + history));
       text = Hashing.Drbg.generate rng msg_len;
       rng_seed = Hashing.Drbg.generate rng 32;
     }
@@ -381,17 +379,17 @@ let update_gates workload env tl =
   let n = if workload = "release" then 1 else items in
   let epochs = List.init n (fun i -> base_epoch + 1 + i) in
   let genuine =
-    List.map (fun e -> Tre.issue_update prms env.ssec (label_of tl e)) epochs
+    List.map (fun e -> Tre.issue_update prms env.ssec (Timeline.label tl e)) epochs
   in
   let enc = List.map (Tre.update_to_bytes prms) in
   let swap_last f = List.mapi (fun i u -> if i = n - 1 then f u else u) genuine in
   let relabeled =
-    swap_last (fun u -> { u with Tre.update_time = label_of tl (base_epoch + 7 * items) })
+    swap_last (fun u -> { u with Tre.update_time = Timeline.label tl (base_epoch + 7 * items) })
   in
   let off_g1 = swap_last (fun u -> { u with Tre.update_value = off_subgroup_point prms }) in
   let future =
     let c = connect (Option.get env.server).Server_proc.sock in
-    let q = label_of tl (10 * base_epoch) in
+    let q = Timeline.label tl (10 * base_epoch) in
     send c (Frame.encode (Netmsg.archive_query_to_bytes prms q));
     let reply = next_frame c ~deadline:(now () +. 10.0) in
     Unix.close c.fd;
@@ -418,7 +416,7 @@ let seal_gates env keys tl =
     | Error _ -> false
     | Ok k -> (
         match
-          Tre.encrypt prms env.spub k ~release_time:(label_of tl 1)
+          Tre.encrypt prms env.spub k ~release_time:(Timeline.label tl 1)
             (Hashing.Drbg.create ~seed:"perfbench-gate" ())
             "gate"
         with
