@@ -26,11 +26,12 @@ let now = Unix.gettimeofday
 
 (* ------------------------------------------------------------- settings *)
 
-(* Every workload is an open loop at about a quarter of the load
-   process's capacity: one epoch, one seal every 40 ms, one catch-up
-   session every 200 ms. *)
+(* Every workload is an open loop below half the load process's
+   capacity: one epoch, one seal every 40 ms (about a quarter), one
+   catch-up session every 150 ms (just under half; 200 sessions in
+   30 s, so hundreds of samples lie behind its p90). *)
 let period = 0.040
-let catchup_period = 0.200
+let catchup_period = 0.150
 let letters_per_epoch = 2
 let items = 16 (* catchup: updates per session *)
 let old_items = 2 (* of which the server must regenerate *)
@@ -38,7 +39,12 @@ let history = 256 (* recent epochs broadcast before catchup, so cached *)
 let pool_per_epoch = 4 (* catchup letters per recent epoch *)
 let base_epoch = 1_000_000 (* live epochs start above, old ones below *)
 let population = 64 (* seal: receivers *)
-let setups = 9 (* set-ups per run; setup_s is their median *)
+(* A phase runs in [segments] timed segments. Before the first and
+   after each one comes a set-up point: [setups_per_point] set-ups back
+   to back. setup_s thus samples the host across the whole run, as the
+   timed ops do. *)
+let segments = 5
+let setups_per_point = 5
 let msg_len = 32
 let replay_ops = 16
 
@@ -92,6 +98,24 @@ let host_probe_ms () =
     (now () -. t) *. 1e3
   in
   median (List.init 5 (fun _ -> once ()))
+
+(* (steal, total) jiffies of all vCPUs, from the "cpu" line of
+   /proc/stat; (0, 0) where it is unavailable. Steal is time a vCPU
+   wanted to run while the hypervisor ran something else. On the
+   reference host it comes in episodes of tens of seconds to minutes
+   and stretches ops while they run, which moves the p90 of the short
+   ops most. Like [host_probe_ms], a diagnostic only. *)
+let cpu_jiffies () =
+  match open_in "/proc/stat" with
+  | exception Sys_error _ -> (0, 0)
+  | ic -> (
+      let l = try input_line ic with End_of_file -> "" in
+      close_in ic;
+      match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+      | "cpu" :: f when List.length f >= 8 ->
+          let v = List.filteri (fun i _ -> i < 8) (List.map int_of_string f) in
+          (List.nth v 7, List.fold_left ( + ) 0 v)
+      | _ -> (0, 0))
 
 (* ------------------------------------------------------------ run state *)
 
@@ -344,14 +368,45 @@ let setup ~workload ~pname ~seed_str ~tl ~sock ~spub_bytes =
     ({ prms; ssec; spub; usec; vrf; server = Some server; sub }, now () -. t0)
   end
 
-let teardown ?(quick = false) env =
+let teardown env =
   Option.iter (fun c -> Unix.close c.fd) env.sub;
-  match env.server with
-  | Some s when quick ->
-      Server_proc.quit s;
-      0
-  | Some s -> Server_proc.stop s
-  | None -> 0
+  match env.server with Some s -> Server_proc.stop s | None -> 0
+
+(* Set-up times in s, one array per set-up point. *)
+let setup_samples : float array list ref = ref []
+
+(* One set-up point. Every set-up but the last is torn down at once; the
+   last is returned when [keep]. The heap is collected on either side,
+   so neither the set-ups nor the timed segment pay for the other's
+   garbage. Tracing is off meanwhile. *)
+let setup_point ~keep make =
+  let was = tr.Trace.enabled in
+  tr.Trace.enabled <- false;
+  Gc.full_major ();
+  let times = Array.make setups_per_point 0.0 in
+  let rec go k =
+    let env, dt = make () in
+    times.(k) <- dt;
+    if keep && k = setups_per_point - 1 then Some env
+    else begin
+      ignore (teardown env);
+      if k = setups_per_point - 1 then None else go (k + 1)
+    end
+  in
+  let env = go 0 in
+  setup_samples := times :: !setup_samples;
+  Gc.full_major ();
+  tr.Trace.enabled <- was;
+  env
+
+(* setup_s: pass r is the r-th set-up of every point, and its value is
+   their mean, so each pass spans the run; setup_s is the median pass. *)
+let setup_s () =
+  let points = !setup_samples in
+  median
+    (List.init setups_per_point (fun r ->
+         List.fold_left (fun a t -> a +. t.(r)) 0.0 points
+         /. float_of_int (List.length points)))
 
 (* --------------------------------------------------------------- gates *)
 
@@ -435,7 +490,7 @@ type phase = {
   cpu : float; (* load process CPU, s *)
   minor_words : float;
   major_gcs : int;
-  marks : (Server_proc.mark * Server_proc.mark) option;
+  marks : (Server_proc.mark * Server_proc.mark) list; (* per segment *)
   waits : float array; (* release: due -> update in hand, ms, sorted *)
   late : float array; (* op start (release: tick start) - due, ms, sorted *)
   ticks : int; (* epochs the server ticked *)
@@ -461,7 +516,7 @@ let counters env f =
   let r = f () in
   let c1 = cpu_s () and g1 = Gc.quick_stat () in
   let m1 = Option.map Server_proc.mark env.server in
-  let marks = match (m0, m1) with Some a, Some b -> Some (a, b) | _ -> None in
+  let marks = match (m0, m1) with Some a, Some b -> [ (a, b) ] | _ -> [] in
   ( r,
     c1 -. c0,
     g1.Gc.minor_words -. g0.Gc.minor_words,
@@ -489,12 +544,13 @@ let decrypt_letter env ~what upd (l : letter) =
       in
       if check_plain ~what m l.msg then Some (ct, m) else None
 
-let run_release env (letters : letter array array) ~phase_idx =
+(* Epochs [first], [first]+1, ... of [letters]: the server ticks them on
+   the schedule and they arrive in that order on the one subscription.
+   Each epoch's root span opens at its due instant, before its frame is
+   read, so the read and every call after it nest under it. *)
+let run_release env (letters : letter array array) ~first =
   let n = Array.length letters in
   let srv = Option.get env.server and c = Option.get env.sub in
-  let first = base_epoch + 1 + (phase_idx * n) in
-  let index = Hashtbl.create n in
-  Array.iteri (fun i ls -> Hashtbl.replace index ls.(0).label i) letters;
   let lat = Array.make n infinity and waits = Array.make n infinity in
   let roots = Array.make n (-1) in
   let t0 = now () +. 0.05 in
@@ -502,56 +558,49 @@ let run_release env (letters : letter array array) ~phase_idx =
   let ((ticks, completed, t_end), cpu, minor_words, major_gcs, marks) =
     counters env (fun () ->
         Server_proc.start_release srv ~t0 ~period ~first ~count:n;
-        let completed = ref 0 and seen = ref 0 in
+        let completed = ref 0 in
+        let epoch_op i ~due =
+          let epoch = first + i in
+          roots.(i) <- Trace.current tr;
+          let rec update_frame () =
+            let p = next_frame c ~deadline in
+            match Codec.peek_kind p with
+            | Ok Codec.Net_tick -> update_frame ()
+            | _ -> p
+          in
+          let payload = update_frame () in
+          let t_hand = now () in
+          ignore (Trace.record tr "release.wait" ~op:epoch ~parent:roots.(i) due t_hand);
+          match
+            Trace.span tr "codec.update_of_bytes" epoch (fun () ->
+                Tre.update_of_bytes env.prms payload)
+          with
+          | Error e -> problem "release: update decode: %s" e
+          | Ok upd when upd.Tre.update_time <> letters.(i).(0).label ->
+              problem "release: update for an unexpected epoch"
+          | Ok upd ->
+              let ok =
+                Trace.span tr "tre.verify_update" epoch (fun () ->
+                    Tre.verify_update_with env.prms env.vrf upd)
+              in
+              if not ok then problem "release: genuine update rejected";
+              let plains =
+                List.filter_map (decrypt_letter env ~what:"release" upd) (Array.to_list letters.(i))
+              in
+              if ok && List.length plains = letters_per_epoch then begin
+                incr completed;
+                lat.(i) <- (now () -. due) *. 1e3;
+                waits.(i) <- (t_hand -. due) *. 1e3;
+                keep (K_release (upd, plains))
+              end
+        in
         (try
-           while !seen < n do
-             let mark = tr.Trace.n in
-             let rec update_frame () =
-               let p = next_frame c ~deadline in
-               match Codec.peek_kind p with
-               | Ok Codec.Net_tick -> update_frame ()
-               | _ -> p
-             in
-             let payload = update_frame () in
-             let t_hand = now () in
-             incr seen;
-             match
-               Trace.span tr "codec.update_of_bytes" (-1) (fun () ->
-                   Tre.update_of_bytes env.prms payload)
-             with
-             | Error e -> problem "release: update decode: %s" e
-             | Ok upd -> (
-                 match Hashtbl.find_opt index upd.Tre.update_time with
-                 | None -> problem "release: update for an unexpected epoch"
-                 | Some i ->
-                     let epoch = first + i in
-                     let due = t0 +. (float_of_int i *. period) in
-                     let root = Trace.enter ~start:due tr "op" epoch in
-                     roots.(i) <- root;
-                     Trace.claim tr ~from:mark ~op:epoch ~parent:root;
-                     ignore (Trace.record tr "release.wait" ~op:epoch ~parent:root due t_hand);
-                     let ok =
-                       Trace.span tr "tre.verify_update" epoch (fun () ->
-                           Tre.verify_update_with env.prms env.vrf upd)
-                     in
-                     if not ok then problem "release: genuine update rejected";
-                     let plains =
-                       List.filter_map
-                         (decrypt_letter env ~what:"release" upd)
-                         (Array.to_list letters.(i))
-                     in
-                     Trace.leave tr root;
-                     let t_done = now () in
-                     if ok && List.length plains = letters_per_epoch then begin
-                       incr completed;
-                       lat.(i) <- (t_done -. due) *. 1e3;
-                       waits.(i) <- (t_hand -. due) *. 1e3;
-                       keep (K_release (upd, plains))
-                     end)
+           for i = 0 to n - 1 do
+             let due = t0 +. (float_of_int i *. period) in
+             Trace.span tr "op" (first + i) ~start:due (fun () -> epoch_op i ~due)
            done
          with Timeout | Failure _ | Unix.Unix_error _ -> ());
-        let t_end = now () in
-        (Server_proc.release_ticks srv, !completed, t_end))
+        (Server_proc.release_ticks srv, !completed, now ()))
   in
   let late =
     Array.mapi
@@ -562,7 +611,8 @@ let run_release env (letters : letter array array) ~phase_idx =
         (st -. due) *. 1e3)
       ticks
   in
-  if tr.Trace.enabled then tick_cpu := Array.to_list (Array.map (fun (_, _, c) -> c *. 1e3) ticks);
+  if tr.Trace.enabled then
+    Array.iter (fun (_, _, c) -> tick_cpu := (c *. 1e3) :: !tick_cpu) ticks;
   Array.sort compare lat;
   Array.sort compare waits;
   Array.sort compare late;
@@ -677,10 +727,36 @@ let open_loop env ~period ~count f =
     ticks = 0;
   }
 
-let run_catchup env (sessions : letter array array) =
+(* The segments of a phase as one phase. *)
+let merge_segments = function
+  | [] -> invalid_arg "merge_segments"
+  | ps ->
+      let sum f = List.fold_left (fun a p -> a + f p) 0 ps in
+      let sumf f = List.fold_left (fun a p -> a +. f p) 0.0 ps in
+      let cat f =
+        let a = Array.concat (List.map f ps) in
+        Array.sort compare a;
+        a
+      in
+      {
+        attempted = sum (fun p -> p.attempted);
+        failed = sum (fun p -> p.failed);
+        elapsed = sumf (fun p -> p.elapsed);
+        lat = cat (fun p -> p.lat);
+        cpu = sumf (fun p -> p.cpu);
+        minor_words = sumf (fun p -> p.minor_words);
+        major_gcs = sum (fun p -> p.major_gcs);
+        marks = List.concat_map (fun p -> p.marks) ps;
+        waits = cat (fun p -> p.waits);
+        late = cat (fun p -> p.late);
+        ticks = sum (fun p -> p.ticks);
+      }
+
+(* Sessions [lo, lo + len) of a phase; the session index is the op id. *)
+let run_catchup env (sessions : letter array array) ~lo ~len =
   let sock = (Option.get env.server).Server_proc.sock in
-  open_loop env ~period:catchup_period ~count:(Array.length sessions) (fun i ~due ->
-      match catchup_session env sock sessions.(i) ~op:i ~due with
+  open_loop env ~period:catchup_period ~count:len (fun i ~due ->
+      match catchup_session env sock sessions.(lo + i) ~op:(lo + i) ~due with
       | Some (ups, plains) ->
           keep (K_catchup (ups, plains));
           true
@@ -713,9 +789,10 @@ let seal_one env keys (o : seal_op) =
               Trace.span tr "codec.ciphertext_to_bytes" op (fun () ->
                   Tre.ciphertext_to_bytes prms ct) ))
 
-let run_seal env keys (ops : seal_op array) =
-  sealed := Array.make (Array.length ops) None;
-  open_loop env ~period ~count:(Array.length ops) (fun i ~due ->
+(* Seals [lo, lo + len) of a phase; [!sealed] holds the phase's output. *)
+let run_seal env keys (ops : seal_op array) ~lo ~len =
+  open_loop env ~period ~count:len (fun i ~due ->
+      let i = lo + i in
       match Trace.span tr "op" i ~start:due (fun () -> seal_one env keys ops.(i)) with
       | Some (pk, b) ->
           !sealed.(i) <- Some b;
@@ -907,8 +984,12 @@ let layer_metrics ~(untraced : phase) ~(traced : phase) ~replayed ~server_rss_mb
   (* counters come from the untraced phase of this run *)
   let u = untraced in
   let uops = u.attempted - u.failed in
-  let srv f = match u.marks with Some (a, b) -> f a b | None -> 0.0 in
+  (* server counter deltas, summed over the segments *)
+  let srv f = List.fold_left (fun acc (a, b) -> acc +. f a b) 0.0 u.marks in
   let st f = srv (fun a b -> float_of_int (f b.Server_proc.stats - f a.Server_proc.stats)) in
+  let final f =
+    match List.rev u.marks with (_, b) :: _ -> float_of_int (f b.Server_proc.stats) | [] -> 0.0
+  in
   let encoded = st (fun s -> s.Netmsg.updates_encoded) in
   let hits = st (fun s -> s.Netmsg.archive_hits) in
   let requests = hits +. float_of_int u.ticks in
@@ -929,8 +1010,8 @@ let layer_metrics ~(untraced : phase) ~(traced : phase) ~replayed ~server_rss_mb
       ("net_server.poll_wakeups_per_op", per uops (st (fun s -> s.Netmsg.poll_wakeups)), "count/op");
       ("net_server.bytes_sent_per_op", per uops (st (fun s -> s.Netmsg.bytes_sent)), "B/op");
       ("net_server.conns_accepted_per_op", per uops (st (fun s -> s.Netmsg.conns_accepted)), "count/op");
-      ("net_server.protocol_errors", srv (fun _ b -> float_of_int b.Server_proc.stats.Netmsg.protocol_errors), "count");
-      ("net_server.slow_disconnects", srv (fun _ b -> float_of_int b.Server_proc.stats.Netmsg.slow_disconnects), "count");
+      ("net_server.protocol_errors", final (fun s -> s.Netmsg.protocol_errors), "count");
+      ("net_server.slow_disconnects", final (fun s -> s.Netmsg.slow_disconnects), "count");
       ("gc.minor_words_per_op", per uops u.minor_words, "words/op");
       ("gc.major_collections_per_op", per uops (float_of_int u.major_gcs), "count/op");
       ("server.gc.minor_words_per_op",
@@ -969,6 +1050,7 @@ let () =
   let seconds = float_of_int !seconds in
   let seed_str = Printf.sprintf "perfbench|%s|%s|%d" workload !pname !seed in
   let probe_start = host_probe_ms () in
+  let steal0, jiffies0 = cpu_jiffies () in
   let phases = if traced then 2 else 1 in
   let tl = Timeline.create ~granularity:period () in
   (* ---- inputs (not part of setup_s) *)
@@ -999,22 +1081,18 @@ let () =
   in
   let digest = digest_inputs ~workload ~seed_str inputs in
   let gen_s = now () -. gen_t0 in
-  (* ---- set-up, [setups] times; the last one is kept *)
+  (* ---- the first set-up point; its last set-up is kept *)
   let spub_bytes =
     let _, spub, _, _ = keys0 in
     Tre.server_public_to_bytes prms0 spub
   in
-  let sock k = Printf.sprintf "%s/s%d.%d" out_dir (Unix.getpid ()) k in
-  let rec setups_loop k acc =
-    let env, dt = setup ~workload ~pname:!pname ~seed_str ~tl ~sock:(sock k) ~spub_bytes in
-    if k + 1 < setups then begin
-      ignore (teardown ~quick:true env);
-      setups_loop (k + 1) (dt :: acc)
-    end
-    else (env, dt :: acc)
+  let socks = ref 0 in
+  let make_setup () =
+    incr socks;
+    let sock = Printf.sprintf "%s/s%d.%d" out_dir (Unix.getpid ()) !socks in
+    setup ~workload ~pname:!pname ~seed_str ~tl ~sock ~spub_bytes
   in
-  let env, setup_times = setups_loop 0 [] in
-  let setup_s = median setup_times in
+  let env = Option.get (setup_point ~keep:true make_setup) in
   let history_s =
     match (workload, env.server) with
     | "catchup", Some srv ->
@@ -1030,15 +1108,34 @@ let () =
     | _ -> update_gates workload env tl
   in
   List.iter (fun (g, ok) -> if not ok then problem "gate %s failed" g) gates;
-  (* ---- phases: untraced, then (with --trace 1) traced *)
+  (* ---- phases: untraced, then (with --trace 1) traced; each is
+     [segments] segments, each followed by a set-up point *)
   let run_phase ph =
-    match inputs with
-    | Release_in p -> run_release env p.(ph) ~phase_idx:ph
-    | Catchup_in p -> run_catchup env p.(ph)
+    let count =
+      match inputs with
+      | Release_in p -> Array.length p.(ph)
+      | Catchup_in p -> Array.length p.(ph)
+      | Seal_in { ops; _ } -> Array.length ops.(ph)
+    in
+    let segment ~lo ~len =
+      match inputs with
+      | Release_in p ->
+          run_release env (Array.sub p.(ph) lo len) ~first:(base_epoch + 1 + (ph * count) + lo)
+      | Catchup_in p -> run_catchup env p.(ph) ~lo ~len
+      | Seal_in { keys; ops } -> run_seal env keys ops.(ph) ~lo ~len
+    in
+    sealed := Array.make count None;
+    let parts = ref [] in
+    for s = 0 to segments - 1 do
+      let lo = s * count / segments and hi = (s + 1) * count / segments in
+      parts := segment ~lo ~len:(hi - lo) :: !parts;
+      ignore (setup_point ~keep:false make_setup)
+    done;
+    (match inputs with
     | Seal_in { keys; ops } ->
-        let r = run_seal env keys ops.(ph) in
-        check_sealed env keys ops.(ph) (Hashing.Drbg.create ~seed:("perfbench-check|" ^ seed_str) ());
-        r
+        check_sealed env keys ops.(ph) (Hashing.Drbg.create ~seed:("perfbench-check|" ^ seed_str) ())
+    | _ -> ());
+    merge_segments (List.rev !parts)
   in
   let untraced = run_phase 0 in
   let traced_phase =
@@ -1052,8 +1149,14 @@ let () =
   in
   let replayed = if traced then replay env env.spub else 0 in
   let server_rss_kb = teardown env in
+  let setup_s = setup_s () in
   let rss_mb = float_of_int (Server_proc.peak_rss_kb ()) /. 1024.0 in
   let probe_end = host_probe_ms () in
+  let steal_pct =
+    let steal1, jiffies1 = cpu_jiffies () in
+    if jiffies1 = jiffies0 then 0.0
+    else 100.0 *. float_of_int (steal1 - steal0) /. float_of_int (jiffies1 - jiffies0)
+  in
   let trace_file =
     if traced then begin
       let f = Printf.sprintf "%s/trace-%s-%d.tsv" out_dir workload !seed in
@@ -1082,11 +1185,14 @@ let () =
   Printf.printf
     "{\"diagnostics\": {\"workload\": %S, \"seed\": %d, \"params\": %S, \"input_digest\": %S, \
      \"gen_s\": %.4f, \"history_s\": %.4f, \"setup_s_each\": [%s], \"host.probe_ms_start\": %.4f, \
-     \"host.probe_ms_end\": %.4f, \"gates\": {%s}, \"phase_s\": [%s], \
+     \"host.probe_ms_end\": %.4f, \"host.steal_pct\": %.3f, \"gates\": {%s}, \"phase_s\": [%s], \
      \"replayed_ops\": %d, \"trace_file\": %S, \"problems\": [%s]%s}}\n"
     workload !seed !pname digest gen_s history_s
-    (String.concat ", " (List.rev_map (Printf.sprintf "%.5f") setup_times))
-    probe_start probe_end
+    (String.concat ", "
+       (List.rev_map
+          (fun t -> "[" ^ String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.5f") t)) ^ "]")
+          !setup_samples))
+    probe_start probe_end steal_pct
     (String.concat ", " (List.map (fun (g, ok) -> Printf.sprintf "%S: %b" g ok) gates))
     (String.concat ", " (List.map (fun p -> Printf.sprintf "%.3f" p.elapsed) ph))
     replayed trace_file

@@ -8,8 +8,7 @@
      history FIRST COUNT                  ok
      release T0 PERIOD FIRST COUNT        ticks S0 E0 C0 S1 E1 C1 ...
      mark                                 mark CPU_S MINOR_WORDS STATS_HEX
-     stop                                 bye PEAK_RSS_KB
-     quit                                 (exits at once)
+     stop                                 bye PEAK_RSS_KB, then exits
 
    [history] broadcasts a run of epochs so they sit in the frame cache.
    [release] ticks epoch FIRST+k at the due instant T0 + k*PERIOD (the
@@ -17,10 +16,10 @@
    tick's start and end stamps and the process CPU seconds it took.
    [mark] snapshots the child's own CPU time, allocation and
    [Net_server.stats] (hex of its [Net_stats] wire form), so CPU is split
-   between processes by the kernel's per-process accounting. [quit]
-   drops a daemon that only served a set-up measurement, without
+   between processes by the kernel's per-process accounting. [stop]
+   exits the process at once, shard domain and all, without
    [Net_server.stop]'s wait for the listener to wake. EOF on the command
-   pipe (the load process died) stops the server too. *)
+   pipe (the load process died) exits it too. *)
 
 type t = {
   prms : Pairing.params;
@@ -28,7 +27,6 @@ type t = {
   down : out_channel;
   up : in_channel;
   sock : string;
-  mutable alive : bool;
 }
 
 type mark = { cpu_s : float; minor_words : float; stats : Netmsg.stats }
@@ -108,12 +106,10 @@ let child prms secret timeline sock down_r up_w =
           (Printf.sprintf "mark %.6f %.0f %s" (cpu_s ()) (Gc.quick_stat ()).Gc.minor_words
              (Hashing.Hex.encode (Netmsg.stats_to_bytes prms (Net_server.stats srv))));
         loop ()
-    | [ "quit" ] -> Unix._exit 0
-    | _ -> ()
+    | [ "stop" ] -> reply (Printf.sprintf "bye %d" (peak_rss_kb ()))
+    | _ -> failwith "unknown command"
   in
-  loop ();
-  Net_server.stop srv;
-  reply (Printf.sprintf "bye %d" (peak_rss_kb ()))
+  loop ()
 
 (* Fork the daemon and block until it is listening: the child writes
    "ready" after [Net_server.start] returns, so the wait is on the pipe,
@@ -145,7 +141,6 @@ let spawn prms secret timeline sock =
           down = Unix.out_channel_of_descr down_w;
           up = Unix.in_channel_of_descr up_r;
           sock;
-          alive = true;
         }
       in
       (match input_line t.up with
@@ -199,27 +194,16 @@ let reap t =
   (try Unix.unlink t.sock with Unix.Unix_error _ -> ());
   if status <> Unix.WEXITED 0 then failwith "server process exited abnormally"
 
-let quit t =
-  if t.alive then begin
-    t.alive <- false;
-    command t "quit";
-    reap t
-  end
-
 (* Stop the daemon, reap it, and return its peak RSS in kB. *)
 let stop t =
-  if not t.alive then 0
-  else begin
-    t.alive <- false;
-    let rss =
-      match
-        command t "stop";
-        expect t "bye"
-      with
-      | [ kb ] -> int_of_string kb
-      | _ -> 0
-      | exception (Failure _ | Sys_error _) -> 0
-    in
-    reap t;
-    rss
-  end
+  let rss =
+    match
+      command t "stop";
+      expect t "bye"
+    with
+    | [ kb ] -> int_of_string kb
+    | _ -> 0
+    | exception (Failure _ | Sys_error _) -> 0
+  in
+  reap t;
+  rss

@@ -94,16 +94,6 @@ let span ?start tr name op f =
       leave tr i;
       raise e
 
-(* Spans recorded before their operation was known (a read that turns
-   out to carry epoch e's update) are assigned to it afterwards. *)
-let claim tr ~from ~op ~parent =
-  for i = from to tr.n - 1 do
-    if tr.parent.(i) = -1 && i <> parent then begin
-      tr.op.(i) <- op;
-      tr.parent.(i) <- parent
-    end
-  done
-
 (* Self time: the span's duration minus the part of it that its child
    spans cover (children may overlap; the union is subtracted). *)
 let self_times tr =
