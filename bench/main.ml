@@ -1017,6 +1017,26 @@ let e1kernel_rows set_name =
       [ (Pairing.Prepared vsg, h_t);
         (Pairing.Prepared vg, Curve.neg curve pt) ]
   in
+  (* The layers under single-update verification besides the pairings:
+     variable-base scalar multiplication, G1 membership and H1, each
+     against its definition on the reference double-and-add. [off_g1] is
+     a curve point outside G1, so membership must say no as well as
+     yes. *)
+  let k = Pairing.random_scalar p rng in
+  let in_g1_ref pt =
+    Curve.on_curve curve pt
+    && Curve.is_infinity (Curve.mul_double_add curve p.Pairing.q pt)
+  in
+  let off_g1 =
+    let rec find i =
+      let pt = Pairing.hash_to_g1_unclamped p (Printf.sprintf "e1k-off-g1|%d" i) in
+      if in_g1_ref pt then find (i + 1) else pt
+    in
+    find 0
+  in
+  let h1_ref label =
+    Curve.mul_double_add curve p.Pairing.cofactor (Pairing.hash_to_g1_unclamped p label)
+  in
   [
     {
       krow_name = "field-mul";
@@ -1100,6 +1120,29 @@ let e1kernel_rows set_name =
           && not (separate_says iv_bad));
     };
     {
+      krow_name = "curve-mul";
+      kref = Some (fun () -> ignore (Curve.mul_double_add curve k h_t));
+      kker = (fun () -> ignore (Curve.mul curve k h_t));
+      kagree =
+        (fun () -> Curve.equal (Curve.mul_double_add curve k h_t) (Curve.mul curve k h_t));
+    };
+    {
+      krow_name = "in-g1";
+      kref = Some (fun () -> ignore (in_g1_ref iv));
+      kker = (fun () -> ignore (Pairing.in_g1 p iv));
+      kagree =
+        (fun () ->
+          in_g1_ref iv && Pairing.in_g1 p iv
+          && (not (Pairing.in_g1 p off_g1))
+          && not (in_g1_ref off_g1));
+    };
+    {
+      krow_name = "hash-to-g1";
+      kref = Some (fun () -> ignore (h1_ref t_label));
+      kker = (fun () -> ignore (Pairing.hash_to_g1 p t_label));
+      kagree = (fun () -> Curve.equal (h1_ref t_label) (Pairing.hash_to_g1 p t_label));
+    };
+    {
       krow_name = "tre-encrypt";
       kref = None;
       kker =
@@ -1176,8 +1219,12 @@ let e1kernel_report () =
      product kernel: the paper's two-pairing update verification as ONE\n\
      interleaved Miller loop with a shared squaring chain and the GF(p)\n\
      membership decision in place of any final exponentiation — >=1.4x\n\
-     over two separate prepared kernel pairings at mid128 and std160\n\
-     (tools/bench_guard.ml holds these ratios as CI floors).\n"
+     over two separate prepared kernel pairings at mid128 and std160.\n\
+     The curve-mul, in-g1 and hash-to-g1 rows are the rest of a single\n\
+     update's verification: the x-only Montgomery ladder, the membership\n\
+     test that needs no y, and H1's cofactor clearing on the ladder, each\n\
+     against the reference double-and-add (tools/bench_guard.ml holds\n\
+     these ratios as CI floors).\n"
 
 (* [--smoke]: bit-identity of every kernel path against the generic
    reference, across all five named parameter sets. *)

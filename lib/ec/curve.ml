@@ -1,15 +1,56 @@
-(* Affine arithmetic on E : y^2 = x^3 + a*x + b, plus Jacobian-coordinate
-   scalar multiplication. The affine formulas are the textbook
-   chord-and-tangent ones; slopes need one field inversion per operation,
-   which is fine for single additions (scalar multiplication avoids them
-   via Jacobian coordinates). *)
+(* Affine arithmetic on E : y^2 = x^3 + a*x + b, plus scalar
+   multiplication. The affine formulas are the textbook chord-and-tangent
+   ones; slopes need one field inversion per operation, which is fine for
+   single additions. Variable-base scalar multiplication runs an x-only
+   Montgomery ladder; multi-scalar and fixed-base multiplication run
+   Jacobian coordinates. Both avoid per-step inversions. *)
 
-type ctx = { fp : Fp.ctx; a : Fp.t; b : Fp.t; a_is_zero : bool }
+(* Both supported curves are Montgomery curves B v^2 = u^3 + A u^2 + u
+   after the change of variable u = (x - x_t) c, v = y c, where x_t is
+   the x-coordinate of the one rational 2-torsion point:
+   - y^2 = x^3 + x is already one: A = 0, B = 1, x_t = 0, c = 1;
+   - y^2 = x^3 + 1 maps by u = (x + 1)/sqrt 3, v = y/sqrt 3 to
+     A = -sqrt 3, B = 1/sqrt 3 (x_t = -1, c = 1/sqrt 3).
+   The ladder and the y-recovery below read only these constants. *)
+type mont = {
+  a24 : Fp.t option; (* (A + 2)/4; None when A = 0 *)
+  two_a : Fp.t; (* 2A *)
+  x_t : Fp.t;
+  c : Fp.t;
+  c_inv : Fp.t;
+  rec_k : Fp.t; (* 2 B c^2: y-recovery's denominator constant *)
+}
+
+type ctx = { fp : Fp.ctx; a : Fp.t; b : Fp.t; a_is_zero : bool; mont : mont }
 type point = Infinity | Affine of { x : Fp.t; y : Fp.t }
 
 let create ?(a = 1) ?(b = 0) fp =
+  let mont =
+    match (a, b) with
+    | 1, 0 ->
+        let one = Fp.one fp in
+        { a24 = None; two_a = Fp.zero fp; x_t = Fp.zero fp; c = one; c_inv = one;
+          rec_k = Fp.of_int fp 2 }
+    | 0, 1 -> (
+        let three = Fp.of_int fp 3 in
+        match Fp.sqrt fp three with
+        | Some r3 ->
+            let ma = Fp.neg fp r3 in
+            let c = Fp.inv fp r3 in
+            {
+              a24 = Some (Fp.div fp (Fp.add fp ma (Fp.of_int fp 2)) (Fp.of_int fp 4));
+              two_a = Fp.add fp ma ma;
+              x_t = Fp.of_int fp (-1);
+              c;
+              c_inv = r3;
+              (* 2 B c^2 = 2 / (3 sqrt 3) *)
+              rec_k = Fp.div fp (Fp.of_int fp 2) (Fp.mul fp three r3);
+            }
+        | None -> invalid_arg "Curve.create: y^2 = x^3 + 1 needs sqrt 3 in GF(p)")
+    | _ -> invalid_arg "Curve.create: only y^2 = x^3 + x and y^2 = x^3 + 1"
+  in
   let a = Fp.of_int fp a and b = Fp.of_int fp b in
-  { fp; a; b; a_is_zero = Fp.is_zero fp a }
+  { fp; a; b; a_is_zero = Fp.is_zero fp a; mont }
 
 let coeff_a ctx = ctx.a
 let coeff_b ctx = ctx.b
@@ -194,14 +235,15 @@ let batch_to_affine ctx (pts : jacobian array) : (Fp.t * Fp.t) array =
   done;
   out
 
-(* --- in-place Jacobian register file ---
+(* --- in-place register file ---
 
-   The wNAF / MSM / fixed-base loops below run thousands of doublings and
-   mixed additions per scalar; with the functional formulas each step
-   allocated ~15 fresh field elements. The register file holds one
-   accumulator (ax, ay, az) plus seven temporaries, all allocated ONCE
-   per scalar multiplication and mutated in place by the {!Fp.Mut}
-   kernels — the loops themselves allocate nothing. The schedules below
+   The ladder / MSM / fixed-base loops below run hundreds of steps per
+   scalar; with the functional formulas each step allocated ~15 fresh
+   field elements. The register file holds one Jacobian accumulator
+   (ax, ay, az) plus seven temporaries, all allocated ONCE per scalar
+   multiplication and mutated in place by the {!Fp.Mut} kernels — the
+   loops themselves allocate nothing. The ladder reuses the same ten
+   buffers with its own register map. The Jacobian schedules below
    compute exactly the same field expressions as [jac_double] /
    [jac_add_affine]; canonical representatives make the results
    bit-identical, which [mul_double_add] (kept functional) pins in the
@@ -242,9 +284,9 @@ let jregs_alloc fp =
    loop is bounded by its context's limb count, never by the buffer
    length, so a file grown for a large field serves smaller ones), with
    a busy flag so any reentrant user transparently falls back to a
-   fresh allocation. Every temporary in the schedules above is written
-   before it is read, so stale limbs from another context are
-   harmless. *)
+   fresh allocation. Every schedule below (Jacobian and ladder) writes
+   each register before reading it, so stale limbs from another context
+   are harmless. *)
 type jcache = { mutable jk : int; mutable jfile : jregs; mutable jbusy : bool }
 
 let jregs_raw k =
@@ -451,60 +493,130 @@ let wnaf_digits k w =
   done;
   digits
 
-(* Scalar multiplication by width-w NAF with a batch-normalized table of
-   odd multiples: ~bits doublings + bits/(w+1) mixed additions, against
-   bits + bits/2 for the double-and-add ladder. *)
+(* --- x-only Montgomery ladder ---
+
+   A point is tracked by its Montgomery u-coordinate alone, as (X : Z)
+   with infinity at Z = 0. Each bit of k costs one differential addition
+   (2S + 3M against the affine base u) and one doubling (2S + 2M when
+   A = 0, one more M by a24 otherwise), through the register file:
+   (X_k : Z_k) in (ax : ay), (X_k+1 : Z_k+1) in (az : t0), the base u in
+   t5, t1-t4 temporaries. A^2 - 4 is a non-square on both curves (-4 and
+   -1, with p = 3 mod 4), so no step ever produces (0 : 0) unless the
+   base is the 2-torsion point u = 0, which callers route around: the
+   ladder is exact for every other base, whatever its order. *)
+
+(* (xd : zd) <- 2 (xd : zd) and (xo : zo) <- (xd : zd) + (xo : zo); the
+   two registers always differ by the base, so the sum is the
+   differential one. *)
+let ladder_step ctx r ~xd ~zd ~xo ~zo =
+  let fp = ctx.fp in
+  Fp.Mut.add_into fp r.t1 xd zd; (* t1 = A = Xd + Zd *)
+  Fp.Mut.sub_into fp r.t2 xd zd; (* t2 = B = Xd - Zd *)
+  Fp.Mut.add_into fp r.t3 xo zo;
+  Fp.Mut.sub_into fp r.t4 xo zo;
+  Fp.Mut.mul_into fp r.t4 r.t4 r.t1; (* t4 = DA = (Xo - Zo) A *)
+  Fp.Mut.mul_into fp r.t3 r.t3 r.t2; (* t3 = CB = (Xo + Zo) B *)
+  Fp.Mut.add_into fp xo r.t4 r.t3;
+  Fp.Mut.sqr_into fp xo xo; (* Xo' = (DA + CB)^2 *)
+  Fp.Mut.sub_into fp zo r.t4 r.t3;
+  Fp.Mut.sqr_into fp zo zo;
+  Fp.Mut.mul_into fp zo zo r.t5; (* Zo' = u (DA - CB)^2 *)
+  Fp.Mut.sqr_into fp r.t1 r.t1; (* t1 = AA *)
+  Fp.Mut.sqr_into fp r.t2 r.t2; (* t2 = BB *)
+  Fp.Mut.mul_into fp xd r.t1 r.t2; (* Xd' = AA BB *)
+  Fp.Mut.sub_into fp r.t3 r.t1 r.t2; (* t3 = E = AA - BB = 4 Xd Zd *)
+  match ctx.mont.a24 with
+  | None ->
+      (* A = 0: Zd' = E (AA + BB) / 2; scale both coordinates by 2 *)
+      Fp.Mut.add_into fp xd xd xd;
+      Fp.Mut.add_into fp r.t4 r.t1 r.t2;
+      Fp.Mut.mul_into fp zd r.t3 r.t4
+  | Some a24 ->
+      Fp.Mut.mul_into fp r.t4 a24 r.t3;
+      Fp.Mut.add_into fp r.t4 r.t4 r.t2;
+      Fp.Mut.mul_into fp zd r.t3 r.t4 (* Zd' = E (BB + a24 E) *)
+
+(* Run the ladder for k > 0 on the affine base with Weierstrass x-coordinate
+   [x] (u(x) <> 0): leaves [k]P in (ax : ay) and [k+1]P in (az : t0). *)
+let ladder ctx r k x =
+  let fp = ctx.fp and m = ctx.mont in
+  Fp.Mut.sub_into fp r.t5 x m.x_t;
+  Fp.Mut.mul_into fp r.t5 r.t5 m.c;
+  Fp.Mut.set_one fp r.ax;
+  Fp.Mut.set_zero fp r.ay;
+  Fp.Mut.set fp r.az r.t5;
+  Fp.Mut.set_one fp r.t0;
+  for i = Bigint.bit_length k - 1 downto 0 do
+    if Bigint.test_bit k i then ladder_step ctx r ~xd:r.az ~zd:r.t0 ~xo:r.ax ~zo:r.ay
+    else ladder_step ctx r ~xd:r.ax ~zd:r.ay ~xo:r.az ~zo:r.t0
+  done
+
+let is_two_torsion ctx x = Fp.equal x ctx.mont.x_t
+
+(* Okeya-Sakurai y-recovery: Q = [k]P from u(Q) = X1/Z1, u(Q+P) = X2/Z2
+   and P = (u, v), with Z1, Z2 <> 0 and v <> 0:
+     v(Q) = ((u uQ + 1)(uQ + u + 2A) - 2A - (uQ - u)^2 u(Q+P)) / (2 B v),
+   projectively Y' / (2 B v Z1^2 Z2) with
+     Y' = Z2 ((u X1 + Z1)(X1 + u Z1 + 2A Z1) - 2A Z1^2) - X2 (X1 - u Z1)^2.
+   Back on the Weierstrass curve x = uQ / c + x_t and y = v(Q) / c, so
+   with v = c y both share the denominator W = 2 B c^2 y Z1^2 Z2: one
+   inversion for the whole point. *)
+let recover_y ctx r ~y =
+  let fp = ctx.fp and m = ctx.mont in
+  let u = r.t5 and x1 = r.ax and z1 = r.ay and x2 = r.az and z2 = r.t0 in
+  let uz1 = Fp.mul fp u z1 in
+  let az1 = Fp.mul fp m.two_a z1 in
+  let s =
+    Fp.sub fp
+      (Fp.mul fp
+         (Fp.add fp (Fp.mul fp u x1) z1)
+         (Fp.add fp (Fp.add fp x1 uz1) az1))
+      (Fp.mul fp az1 z1)
+  in
+  let y' = Fp.sub fp (Fp.mul fp s z2) (Fp.mul fp x2 (Fp.sqr fp (Fp.sub fp x1 uz1))) in
+  let t = Fp.mul fp (Fp.mul fp m.rec_k y) (Fp.mul fp z1 z2) in
+  let winv = Fp.inv fp (Fp.mul fp t z1) in
+  Affine
+    { x = Fp.add fp (Fp.mul fp (Fp.mul fp (Fp.mul fp x1 t) m.c_inv) winv) m.x_t;
+      y = Fp.mul fp y' winv }
+
+(* Variable-base scalar multiplication: the ladder, then y-recovery.
+   Neither [k]P = O (Z_k = 0) nor [k]P = -P (Z_k+1 = 0) fits the recovery
+   formula; both are read off the ladder directly. *)
 let mul ctx k point =
   let k, point =
     if Bigint.sign k >= 0 then (k, point) else (Bigint.neg k, neg ctx point)
   in
   match point with
   | Infinity -> Infinity
-  | Affine { x = x2; y = y2 } as p ->
+  | Affine _ when Bigint.is_zero k -> Infinity
+  | Affine { x; _ } when is_two_torsion ctx x ->
+      if Bigint.is_odd k then point else Infinity
+  | Affine { x; y } ->
       let fp = ctx.fp in
-      let bits = Bigint.bit_length k in
-      if bits < 32 then mul_double_add ctx k p
-      else begin
-        let w = if bits <= 200 then 4 else 5 in
-        let tcount = 1 lsl (w - 2) in
-        let pj = { jx = x2; jy = y2; jz = Fp.one fp } in
-        let twop = jac_double ctx pj in
-        let tbl_j = Array.make tcount pj in
-        for i = 1 to tcount - 1 do
-          tbl_j.(i) <- jac_add ctx tbl_j.(i - 1) twop
-        done;
-        if
-          (* Low-order points (2-torsion) make odd multiples collapse to
-             infinity; the plain ladder handles them. *)
-          Fp.is_zero fp twop.jz
-          || Array.exists (fun q -> Fp.is_zero fp q.jz) tbl_j
-        then mul_double_add ctx k p
-        else begin
-          let tbl = batch_to_affine ctx tbl_j in
-          let digits = wnaf_digits k w in
-          let top = ref (Array.length digits - 1) in
-          while !top > 0 && digits.(!top) = 0 do
-            decr top
-          done;
-          let r = jregs_acquire fp in
-          jset_infinity fp r;
-          for i = !top downto 0 do
-            jdouble_in ctx r;
-            let d = digits.(i) in
-            if d <> 0 then begin
-              let tx, ty = tbl.((Stdlib.abs d - 1) / 2) in
-              if d < 0 then begin
-                Fp.Mut.neg_into fp r.tn ty;
-                jadd_affine_in ctx r ~x2:tx ~y2:r.tn
-              end
-              else jadd_affine_in ctx r ~x2:tx ~y2:ty
-            end
-          done;
-          let p = jregs_to_affine ctx r in
-          jregs_release r;
-          p
-        end
-      end
+      let r = jregs_acquire fp in
+      ladder ctx r k x;
+      let p =
+        if Fp.is_zero fp r.ay then Infinity
+        else if Fp.is_zero fp r.t0 then neg ctx point
+        else recover_y ctx r ~y
+      in
+      jregs_release r;
+      p
+
+(* [k]P = O, decided by the ladder alone: no y, no inversion. *)
+let mul_is_infinity ctx k point =
+  match point with
+  | Infinity -> true
+  | Affine _ when Bigint.is_zero k -> true
+  | Affine { x; _ } when is_two_torsion ctx x -> Bigint.is_even k
+  | Affine { x; _ } ->
+      let fp = ctx.fp in
+      let r = jregs_acquire fp in
+      ladder ctx r (Bigint.abs k) x;
+      let z = Fp.is_zero fp r.ay in
+      jregs_release r;
+      z
 
 (* Multi-scalar multiplication sum_i k_i * P_i: every term's wNAF digit
    stream is interleaved over ONE shared doubling chain, all the terms'
@@ -513,10 +625,10 @@ let mul ctx k point =
    and inversions for independent [mul]s. With the short (64-bit)
    exponents of batch verification this drops the per-term cost from a
    whole ladder to roughly a table build plus bits/(w+1) mixed additions.
-   Degenerate terms (low-order points whose odd-multiple table collapses,
-   exactly the cases [mul] routes to the plain ladder) fall back to a
-   standalone [mul] and are added in at the end, so the result always
-   agrees with folding [add] over independent [mul]s. *)
+   Degenerate terms (low-order points whose odd-multiple table
+   collapses) fall back to a standalone [mul] and are added in at the
+   end, so the result always agrees with folding [add] over independent
+   [mul]s. *)
 let msm ctx pairs =
   let fp = ctx.fp in
   let w = 4 in
@@ -647,7 +759,7 @@ module Table = struct
         end
 
   (* [mul] is not recursive, so [mul ctx k p] below still refers to the
-     generic wNAF multiplication from the enclosing module. *)
+     ladder from the enclosing module. *)
   let mul t k =
     let negate = Bigint.sign k < 0 in
     let k = Bigint.abs k in

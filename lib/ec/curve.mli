@@ -18,7 +18,10 @@ type point = Infinity | Affine of { x : Fp.t; y : Fp.t }
 
 val create : ?a:int -> ?b:int -> Fp.ctx -> ctx
 (** Defaults (a, b) = (1, 0). Supersingularity for the given p is the
-    caller's ({!Pairing.make}'s) responsibility. *)
+    caller's ({!Pairing.make}'s) responsibility. Computes the curve's
+    Montgomery model for {!mul}; raises [Invalid_argument] for any
+    (a, b) other than the two families above, or for (0, 1) when 3 has
+    no square root mod p. *)
 
 val coeff_a : ctx -> Fp.t
 val coeff_b : ctx -> Fp.t
@@ -35,12 +38,18 @@ val neg : ctx -> point -> point
 val add : ctx -> point -> point -> point
 val double : ctx -> point -> point
 val mul : ctx -> Bigint.t -> point -> point
-(** Scalar multiplication (width-w NAF with a precomputed odd-multiples
-    table); negative scalars negate the point. *)
+(** Scalar multiplication: an x-only Montgomery ladder, then
+    Okeya-Sakurai y-recovery and one inversion. Negative scalars negate
+    the point. *)
+
+val mul_is_infinity : ctx -> Bigint.t -> point -> bool
+(** [mul_is_infinity ctx k p = is_infinity (mul ctx k p)] for every
+    point on the curve, decided by the ladder alone (no y-coordinate, no
+    inversion). *)
 
 val mul_double_add : ctx -> Bigint.t -> point -> point
-(** Reference Jacobian double-and-add ladder. Always agrees with {!mul};
-    kept for the equivalence tests and the before/after benchmark. *)
+(** Reference Jacobian double-and-add. Always agrees with {!mul}; kept
+    for the equivalence tests and the before/after benchmark. *)
 
 val jac_steps_ref : ctx -> point -> int -> point
 val jac_steps_kernel : ctx -> point -> int -> point

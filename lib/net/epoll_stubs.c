@@ -172,21 +172,19 @@ CAMLprim value tre_writev_available(value unit)
   return Val_true;
 }
 
-/* Raise the soft RLIMIT_NOFILE toward [requested] (capped at the hard
-   limit); returns the soft limit in effect afterwards. */
-CAMLprim value tre_raise_nofile(value vrequested)
+/* Set the soft RLIMIT_NOFILE to [requested], capped at the hard limit.
+   With [raise_only] the limit only ever goes up. Returns the soft limit
+   in effect afterwards. */
+CAMLprim value tre_set_nofile(value vrequested, value vraise_only)
 {
   struct rlimit rl;
-  rlim_t want = (rlim_t)Long_val(vrequested);
+  rlim_t target = (rlim_t)Long_val(vrequested);
   if (getrlimit(RLIMIT_NOFILE, &rl) == -1) uerror("getrlimit", Nothing);
-  if (rl.rlim_cur < want) {
-    rlim_t target = want;
-    if (rl.rlim_max != RLIM_INFINITY && target > rl.rlim_max)
-      target = rl.rlim_max;
-    if (target > rl.rlim_cur) {
-      rl.rlim_cur = target;
-      if (setrlimit(RLIMIT_NOFILE, &rl) == -1) uerror("setrlimit", Nothing);
-    }
+  if (rl.rlim_max != RLIM_INFINITY && target > rl.rlim_max)
+    target = rl.rlim_max;
+  if (target > rl.rlim_cur || (target < rl.rlim_cur && !Bool_val(vraise_only))) {
+    rl.rlim_cur = target;
+    if (setrlimit(RLIMIT_NOFILE, &rl) == -1) uerror("setrlimit", Nothing);
   }
   if (getrlimit(RLIMIT_NOFILE, &rl) == -1) uerror("getrlimit", Nothing);
   return Val_long(rl.rlim_cur > (rlim_t)Max_long ? Max_long : (long)rl.rlim_cur);
@@ -206,8 +204,9 @@ CAMLprim value tre_writev_available(value unit)
   return Val_false;
 }
 
-CAMLprim value tre_raise_nofile(value vrequested)
+CAMLprim value tre_set_nofile(value vrequested, value vraise_only)
 {
+  (void)vraise_only;
   return vrequested;
 }
 

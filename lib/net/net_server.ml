@@ -507,8 +507,40 @@ let assign t fd =
   push_atomic sh.inbox_conns fd;
   wake sh
 
-let listener_loop t poller =
+(* At fd exhaustion accept fails with EMFILE/ENFILE and leaves the
+   connection queued, so the level-triggered listener would report it
+   again at once and spin. The listener therefore holds one spare
+   descriptor: on exhaustion it closes the spare, accepts the connection
+   into the freed slot, closes it (the peer sees EOF) and reopens the
+   spare. [start] opens the first spare, so it exists before [start]
+   returns. *)
+let open_spare () =
+  try Some (Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0)
+  with Unix.Unix_error _ -> None
+
+let listener_loop t poller spare =
   List.iter (fun fd -> Poller.add poller fd ~read:true ~write:false) t.listeners;
+  let spare = ref spare in
+  (* Whether a connection was shed. Accept reports EMFILE before it
+     looks at the queue, so an empty queue shows up only here. Without a
+     spare, only a descriptor freed elsewhere ends the exhaustion. *)
+  let shed lfd =
+    match !spare with
+    | None ->
+        spare := open_spare ();
+        false
+    | Some s ->
+        Unix.close s;
+        let shed =
+          match Unix.accept ~cloexec:true lfd with
+          | fd, _ ->
+              Unix.close fd;
+              true
+          | exception Unix.Unix_error _ -> false
+        in
+        spare := open_spare ();
+        shed
+  in
   let on_event lfd ~readable ~writable:_ =
     if readable then begin
       let continue = ref true in
@@ -519,6 +551,8 @@ let listener_loop t poller =
             Atomic.incr t.st_accepted;
             Atomic.incr t.st_open;
             assign t fd
+        | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+            continue := shed lfd
         | exception
             Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
           ->
@@ -532,6 +566,7 @@ let listener_loop t poller =
     | _ -> ()
     | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ()
   done;
+  Option.iter Unix.close !spare;
   Poller.close poller
 
 (* --- construction / control --- *)
@@ -633,7 +668,7 @@ let start t =
     Array.to_list
       (Array.map (fun sh -> Domain.spawn (fun () -> shard_loop t sh)) t.shards);
   let lp = Poller.create ?backend:t.cfg.backend () in
-  t.listener_thread <- Some (Thread.create (listener_loop t) lp)
+  t.listener_thread <- Some (Thread.create (listener_loop t lp) (open_spare ()))
 
 let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
 

@@ -21,7 +21,7 @@ external writev_stub : Unix.file_descr -> string array -> int -> int -> int
   = "tre_writev"
 
 external writev_available_stub : unit -> bool = "tre_writev_available"
-external raise_nofile : int -> int = "tre_raise_nofile"
+external set_nofile : int -> bool -> int = "tre_set_nofile"
 external fd_int : Unix.file_descr -> int = "%identity"
 external fd_of_int : int -> Unix.file_descr = "%identity"
 
@@ -179,5 +179,6 @@ let close = function
 
 let writev_available = writev_available_stub ()
 let writev fd strs ~first_off ~count = writev_stub fd strs first_off count
-let raise_fd_limit n = raise_nofile n
+let raise_fd_limit n = set_nofile n true
+let set_fd_limit n = set_nofile n false
 let _ = fd_int

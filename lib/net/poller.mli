@@ -79,3 +79,8 @@ val writev : Unix.file_descr -> string array -> first_off:int -> count:int -> in
 val raise_fd_limit : int -> int
 (** Raise the soft open-files limit toward the argument (capped at the
     hard limit); returns the soft limit now in effect. *)
+
+val set_fd_limit : int -> int
+(** Set the soft open-files limit to the argument (capped at the hard
+    limit), lowering it if need be; returns the soft limit now in
+    effect. *)

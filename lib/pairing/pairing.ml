@@ -406,7 +406,7 @@ let make ?(family = Y2_x3_x) ~name ~p ~q () =
     | Y2_x3_1 -> Curve.create ~a:0 ~b:1 fp
   in
   let g = hash_to_g1_raw ~fp ~curve ~cofactor ("TRE-generator|" ^ name) in
-  if not (Curve.is_infinity (Curve.mul curve q g)) then
+  if not (Curve.mul_is_infinity curve q g) then
     invalid_arg "Pairing.make: generator does not have order q";
   let final_exp = Bigint.div (Bigint.pred (Bigint.mul p p)) q in
   let zeta = match family with Y2_x3_x -> Fp2.one fp | Y2_x3_1 -> cube_root_of_unity fp in
@@ -1864,8 +1864,7 @@ let pairing_equal_check_prepared prms ~lhs:(a, b) ~rhs:(c, d) =
 let mul_g prms k = Curve.Table.mul (Lazy.force prms.g_table) k
 
 let in_g1 prms point =
-  Curve.on_curve prms.curve point
-  && Curve.is_infinity (Curve.mul prms.curve prms.q point)
+  Curve.on_curve prms.curve point && Curve.mul_is_infinity prms.curve prms.q point
 
 let ddh prms base a b c = pairing_equal_check prms ~lhs:(a, b) ~rhs:(base, c)
 

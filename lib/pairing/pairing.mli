@@ -219,7 +219,9 @@ val gt_equal : Fp2.t -> Fp2.t -> bool
 val gt_one : params -> Fp2.t
 
 val in_g1 : params -> Curve.point -> bool
-(** On-curve and killed by q (subgroup membership). *)
+(** On-curve and killed by q (subgroup membership), the latter by
+    {!Curve.mul_is_infinity}: exact on every curve point, no y and no
+    inversion. *)
 
 val ddh : params -> Curve.point -> Curve.point -> Curve.point -> Curve.point -> bool
 (** [ddh prms p a b c] decides whether (p, a, b, c) is a DDH tuple, i.e.

@@ -124,69 +124,75 @@ let verify_server_change prms ~(certified : User.public) ~(new_server : Server.p
 
 type ciphertext = { u : Curve.point; v : string; release_time : time }
 
+(* The sender's formula, shared by the one-shot path and {!Encryptor}:
+   r is the first and only draw from [rng], U = [mul_u] r = rG, and
+   K = e^(r asG, H1(T)) is computed as [release_key]^r with
+   [release_key] = e^(asG, H1(T)) — bilinearity, so the bytes are those
+   of the paper's formula, with one GT power in place of a second scalar
+   multiplication. *)
+let seal prms ~mul_u release_key ~release_time rng msg =
+  let r = Pairing.random_scalar prms rng in
+  let u = mul_u r in
+  let k = Pairing.gt_pow prms release_key r in
+  { u; v = Hashing.Kdf.xor msg (Pairing.h2 prms k (String.length msg)); release_time }
+
+(* When G is the parameter set's generator, rG runs on its fixed-base
+   table: the routing {!Pairing.prepare} does for pairings. *)
+let is_system_generator prms (srv : Server.public) =
+  Curve.equal srv.Server.g prms.Pairing.g
+
+let release_key_of prms (pk : User.public) t =
+  Pairing.pairing prms pk.User.asg (Pairing.hash_to_g1 prms t)
+
 let encrypt_prevalidated prms (srv : Server.public) (pk : User.public) ~release_time rng
     msg =
-  let curve = prms.Pairing.curve in
-  let r = Pairing.random_scalar prms rng in
-  let u = Curve.mul curve r srv.Server.g in
-  (* K = e^(r * asG, H1(T)) = e^(G, H1(T))^{ras} *)
-  let k =
-    Pairing.pairing prms
-      (Curve.mul curve r pk.User.asg)
-      (Pairing.hash_to_g1 prms release_time)
+  let mul_u =
+    if is_system_generator prms srv then Pairing.mul_g prms
+    else fun r -> Curve.mul prms.Pairing.curve r srv.Server.g
   in
-  { u; v = Hashing.Kdf.xor msg (Pairing.h2 prms k (String.length msg)); release_time }
+  seal prms ~mul_u (release_key_of prms pk release_time) ~release_time rng msg
 
 let encrypt prms srv pk ~release_time rng msg =
   if not (validate_receiver_key prms srv pk) then raise Invalid_receiver_key;
   encrypt_prevalidated prms srv pk ~release_time rng msg
 
-(* A sender encrypting repeatedly to one receiver pays per message: one
-   pairing, two scalar multiplications and the validation pairing check.
-   This stateful encryptor amortizes all three: validation happens once at
-   construction, U = rG comes from a fixed-base table, and the pairing is
-   cached per release time — K = e^(r*asG, H1(T)) = e^(asG, H1(T))^r by
-   bilinearity, so repeated encryptions to the same release time need no
-   pairing at all, just one GT exponentiation. Outputs are bit-identical
-   to {!encrypt} for the same rng stream. *)
+(* A sender encrypting repeatedly to one receiver pays per message: the
+   validation pairing check, one pairing and the two exponentiations.
+   This stateful encryptor validates once at construction and caches the
+   pairing per release time, so repeated encryptions to the same release
+   time need no pairing at all. A custom generator gets its own
+   fixed-base table. Outputs are bit-identical to {!encrypt} for the
+   same rng stream. *)
 module Encryptor = struct
   type t = {
     prms : Pairing.params;
     pk : User.public;
-    g_table : Curve.Table.t;
+    mul_u : Bigint.t -> Curve.point;
     cache : (time, Fp2.t) Hashtbl.t;
   }
 
   let create prms (srv : Server.public) (pk : User.public) =
     if not (validate_receiver_key prms srv pk) then raise Invalid_receiver_key;
-    {
-      prms;
-      pk;
-      g_table =
-        Curve.Table.create prms.Pairing.curve
-          ~bits:(Bigint.bit_length prms.Pairing.q)
-          srv.Server.g;
-      cache = Hashtbl.create 8;
-    }
+    let mul_u =
+      if is_system_generator prms srv then Pairing.mul_g prms
+      else
+        Curve.Table.mul
+          (Curve.Table.create prms.Pairing.curve
+             ~bits:(Bigint.bit_length prms.Pairing.q)
+             srv.Server.g)
+    in
+    { prms; pk; mul_u; cache = Hashtbl.create 8 }
 
   let release_key enc release_time =
     match Hashtbl.find_opt enc.cache release_time with
     | Some k -> k
     | None ->
-        let k =
-          Pairing.pairing enc.prms enc.pk.User.asg
-            (Pairing.hash_to_g1 enc.prms release_time)
-        in
+        let k = release_key_of enc.prms enc.pk release_time in
         Hashtbl.add enc.cache release_time k;
         k
 
   let encrypt enc ~release_time rng msg =
-    let r = Pairing.random_scalar enc.prms rng in
-    let u = Curve.Table.mul enc.g_table r in
-    let k = Pairing.gt_pow enc.prms (release_key enc release_time) r in
-    { u;
-      v = Hashing.Kdf.xor msg (Pairing.h2 enc.prms k (String.length msg));
-      release_time }
+    seal enc.prms ~mul_u:enc.mul_u (release_key enc release_time) ~release_time rng msg
 end
 
 let decrypt prms (a : User.secret) upd ct =

@@ -176,9 +176,12 @@ val encrypt :
   string ->
   ciphertext
 (** Encryption (§5.1): validates the receiver key (raising
-    {!Invalid_receiver_key}), picks r, computes
+    {!Invalid_receiver_key}), picks r, computes U = rG and
     K = e^(r*asG, H1(T)) = e^(G, H1(T))^ras and masks the message with
-    H2(K). Messages of any length are supported (H2 stretches). *)
+    H2(K). Messages of any length are supported (H2 stretches). K is
+    computed as e^(asG, H1(T))^r, and U on the parameter set's
+    fixed-base table when G is its generator; the bytes are those of
+    the formula above. *)
 
 val encrypt_prevalidated :
   Pairing.params ->
@@ -195,8 +198,8 @@ val encrypt_prevalidated :
     check for keys you checked before. *)
 
 (** A stateful sender context for one receiver. Construction validates the
-    receiver key once and builds a fixed-base table for the server
-    generator; {!Encryptor.encrypt} then caches the pairing per release
+    receiver key once (and builds a fixed-base table for a custom server
+    generator); {!Encryptor.encrypt} then caches the pairing per release
     time (K = e^(asG, H1(T))^r by bilinearity), so repeated encryptions to
     the same release time perform {e zero} pairings — one table-backed
     scalar multiplication and one GT exponentiation. Ciphertexts are

@@ -103,20 +103,20 @@ let prop_on_curve_closed =
 (* --- scalar-multiplication path equivalence ---
 
    Three independent implementations must agree everywhere: the reference
-   double-and-add ladder, the wNAF path behind Curve.mul, and the
-   fixed-base table. *)
+   Jacobian double-and-add, the Montgomery ladder behind Curve.mul, and
+   the fixed-base table. *)
 
 let table_g = Curve.Table.create curve ~bits:(B.bit_length q) g
 
-let check_paths name k pt tbl =
+let check_paths ?(curve = curve) name k pt tbl =
   let reference = Curve.mul_double_add curve k pt in
   if not (Curve.equal (Curve.mul curve k pt) reference) then
-    Alcotest.fail (name ^ ": wNAF disagrees with ladder");
+    Alcotest.fail (name ^ ": ladder disagrees with double-and-add");
   match tbl with
   | None -> ()
   | Some tbl ->
       if not (Curve.equal (Curve.Table.mul tbl k) reference) then
-        Alcotest.fail (name ^ ": table disagrees with ladder")
+        Alcotest.fail (name ^ ": table disagrees with double-and-add")
 
 let test_mul_paths_edge_scalars () =
   let cases =
@@ -133,13 +133,14 @@ let test_mul_paths_edge_scalars () =
     ]
   in
   List.iter (fun (name, k) -> check_paths name k g (Some table_g)) cases;
-  (* A non-generator variable base exercises wNAF without the table. *)
+  (* A non-generator variable base exercises the ladder without the table. *)
   let h = Pairing.hash_to_g1 prms "mul-paths-var-base" in
   List.iter (fun (name, k) -> check_paths ("h: " ^ name) k h None) cases
 
 let test_mul_paths_two_torsion () =
-  (* (0,0) is 2-torsion: odd-multiple tables collapse, forcing both the
-     wNAF path and the fixed-base table onto their fallbacks. *)
+  (* (0,0) is 2-torsion: the ladder's u = 0 base, handled before the
+     ladder runs, and an odd-multiple table that collapses onto the
+     fixed-base fallback. *)
   let t = Curve.make curve ~x:(Fp.zero fp) ~y:(Fp.zero fp) in
   let tbl = Curve.Table.create curve ~bits:(B.bit_length q) t in
   List.iter
@@ -221,11 +222,57 @@ let test_mul_paths_all_param_sets () =
             (fun k ->
               let reference = Curve.mul_double_add curve k g in
               if not (Curve.equal (Curve.mul curve k g) reference) then
-                Alcotest.fail (name ^ ": wNAF");
+                Alcotest.fail (name ^ ": mul");
               if not (Curve.equal (Curve.Table.mul tbl k) reference) then
                 Alcotest.fail (name ^ ": table"))
             scalars)
     Pairing.all_names
+
+(* Every point of a tiny curve of each family, against a scalar sweep
+   around 0, q, the cofactor h and #E (negatives included): p = 1019 is
+   11 mod 12, so both families exist, and #E = 1020 = 2^2 * 3 * 5 * 17
+   gives O, the 2-torsion point, points of order 4 (where the group has
+   them) and points of every other order dividing 1020. [Pairing.in_g1]
+   must agree with its definition, on the curve and killed by q. *)
+let test_mul_paths_tiny_curves () =
+  let p = B.of_int 1019 and q = B.of_int 17 in
+  let order = B.succ p in
+  let h = B.div order q in
+  let scalars =
+    List.concat_map
+      (fun c -> List.init 9 (fun i -> B.add c (B.of_int (i - 4))))
+      [ B.zero; q; h; order; B.neg q; B.neg h; B.neg order ]
+    @ [ B.succ (B.mul order order); B.mul q h ]
+  in
+  List.iter
+    (fun (family, fname) ->
+      let prms = Pairing.make ~family ~name:("tiny1019-" ^ fname) ~p ~q () in
+      let curve = prms.Pairing.curve in
+      let fp = prms.Pairing.fp in
+      let points =
+        Curve.infinity
+        :: List.concat_map
+             (fun x ->
+               match Curve.lift_x curve (Fp.of_int fp x) with
+               | None -> []
+               | Some (lo, hi) -> if Curve.equal lo hi then [ lo ] else [ lo; hi ])
+             (List.init 1019 Fun.id)
+      in
+      Alcotest.(check int) (fname ^ ": #E") 1020 (List.length points);
+      List.iter
+        (fun pt ->
+          let name = Format.asprintf "%s %a" fname (Curve.pp curve) pt in
+          List.iter
+            (fun k -> check_paths ~curve (name ^ " k=" ^ B.to_string k) k pt None)
+            scalars;
+          let reference =
+            Curve.on_curve curve pt
+            && Curve.is_infinity (Curve.mul_double_add curve q pt)
+          in
+          if Pairing.in_g1 prms pt <> reference then
+            Alcotest.fail (name ^ ": in_g1 disagrees with [q]P = O"))
+        points)
+    [ (Pairing.Y2_x3_x, "x^3+x"); (Pairing.Y2_x3_1, "x^3+1") ]
 
 let prop_bytes_roundtrip =
   QCheck2.Test.make ~name:"point codec roundtrip" ~count:100 gen_subgroup_point
@@ -306,6 +353,7 @@ let () =
             Alcotest.test_case "2-torsion fallbacks" `Quick test_mul_paths_two_torsion;
             Alcotest.test_case "msm edges" `Quick test_msm_edges;
             Alcotest.test_case "all parameter sets" `Slow test_mul_paths_all_param_sets;
+            Alcotest.test_case "every point of p = 1019" `Quick test_mul_paths_tiny_curves;
           ] );
       ( "codec",
         qc [ prop_bytes_roundtrip ]

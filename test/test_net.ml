@@ -422,6 +422,47 @@ let test_attack_kind_confusion backend () =
             (i + 1) st.Netmsg.protocol_errors)
         attacks)
 
+(* At fd exhaustion the listener must shed a queued connection (the
+   client sees EOF) and go idle, not spin on a level-triggered accept
+   that keeps failing with EMFILE. The soft RLIMIT_NOFILE comes down and
+   placeholder descriptors fill every free slot below it, so the
+   client's own socket takes the last one. *)
+let test_fd_exhaustion_sheds backend () =
+  with_server ~backend (fun _srv path _ ->
+      (* a raise to 0 changes nothing: it reads the soft limit *)
+      let original = Poller.raise_fd_limit 0 in
+      let fillers = ref [] in
+      let client = ref None in
+      Fun.protect
+        ~finally:(fun () ->
+          Option.iter (fun c -> Unix.close c.fd) !client;
+          List.iter Unix.close !fillers;
+          ignore (Poller.set_fd_limit original))
+        (fun () ->
+          ignore (Poller.set_fd_limit 256);
+          (try
+             while true do
+               fillers := Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 :: !fillers
+             done
+           with Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> ());
+          (match !fillers with
+          | fd :: rest ->
+              Unix.close fd;
+              fillers := rest
+          | [] -> Alcotest.fail "no descriptor below the lowered limit");
+          let c = connect path in
+          client := Some c;
+          expect_eof c;
+          let cpu () =
+            let t = Unix.times () in
+            t.Unix.tms_utime +. t.Unix.tms_stime
+          in
+          let before = cpu () in
+          Unix.sleepf 0.5;
+          let spent = cpu () -. before in
+          if spent > 0.1 then
+            Alcotest.failf "listener busy at fd exhaustion: %.3f s CPU in 0.5 s" spent))
+
 (* --------------------------------------------------- poller backend *)
 
 let with_socketpair f =
@@ -574,6 +615,7 @@ let () =
           ("encode-once fan-out", test_encode_once_fanout);
           ("archive endpoint", test_archive_endpoint);
           ("back-pressure eviction", test_backpressure_evicts_slow_reader);
+          ("fd exhaustion sheds, no spin", test_fd_exhaustion_sheds);
         ]
     @ per_backend "attacks"
         [

@@ -29,6 +29,47 @@ let test_encrypt_prevalidated_equivalent () =
   let upd = Tre.issue_update prms srv_sec t_release in
   Alcotest.(check string) "roundtrip" msg (Tre.decrypt prms alice_sec upd ct)
 
+(* [Tre.encrypt] computes U on the generator's fixed-base table and K as
+   a GT power; both must reproduce the paper's formula byte for byte,
+   U = r.G and K = e^(r.asG, H1(T)), here on the reference double-and-add
+   and the reference pairing with r drawn from the same rng stream. The
+   Encryptor, which shares the one-shot formula, is pinned the same way. *)
+let test_encrypt_is_paper_formula () =
+  List.iter
+    (fun name ->
+      let prms = Option.get (Pairing.by_name name) in
+      let curve = prms.Pairing.curve in
+      let krng = Hashing.Drbg.create ~seed:("paper-formula|" ^ name) () in
+      let custom = Curve.mul_double_add curve (B.of_int 7) prms.Pairing.g in
+      List.iter
+        (fun (label, g) ->
+          let _, srv = Tre.Server.keygen ?g prms krng in
+          let _, pk = Tre.User.keygen prms srv krng in
+          let msg = "paper formula, " ^ label in
+          let fresh () = Hashing.Drbg.create ~seed:("paper-formula-r|" ^ name ^ label) () in
+          let paper =
+            let r = Pairing.random_scalar prms (fresh ()) in
+            let h =
+              Curve.mul_double_add curve prms.Pairing.cofactor
+                (Pairing.hash_to_g1_unclamped prms t_release)
+            in
+            let k = Pairing.pairing_ref prms (Curve.mul_double_add curve r pk.Tre.User.asg) h in
+            Tre.ciphertext_to_bytes prms
+              { Tre.u = Curve.mul_double_add curve r srv.Tre.Server.g;
+                v = Hashing.Kdf.xor msg (Pairing.h2 prms k (String.length msg));
+                release_time = t_release }
+          in
+          let what = Printf.sprintf "%s, %s" name label in
+          Alcotest.(check string) (what ^ ": encrypt") paper
+            (Tre.ciphertext_to_bytes prms
+               (Tre.encrypt prms srv pk ~release_time:t_release (fresh ()) msg));
+          Alcotest.(check string) (what ^ ": Encryptor") paper
+            (Tre.ciphertext_to_bytes prms
+               (Tre.Encryptor.encrypt (Tre.Encryptor.create prms srv pk)
+                  ~release_time:t_release (fresh ()) msg)))
+        [ ("generator", None); ("custom generator", Some custom) ])
+    Pairing.all_names
+
 let test_update_is_bls_signature () =
   (* §5.3.1: the update is exactly a BLS signature under the server key. *)
   let upd = Tre.issue_update prms srv_sec t_release in
@@ -285,6 +326,7 @@ let () =
           Alcotest.test_case "custom generator" `Quick test_server_custom_generator;
           Alcotest.test_case "password keygen" `Quick test_password_keygen;
           Alcotest.test_case "prevalidated fast path" `Quick test_encrypt_prevalidated_equivalent;
+          Alcotest.test_case "paper formula, all params" `Quick test_encrypt_is_paper_formula;
         ] );
       ( "updates",
         [

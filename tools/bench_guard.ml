@@ -59,6 +59,21 @@ let e1_floors =
     ("toy64", "verify-2pair", 1.2); ("toy64b", "verify-2pair", 1.1);
     ("mid128", "verify-2pair", 1.25); ("mid128b", "verify-2pair", 1.25);
     ("std160", "verify-2pair", 1.25);
+    (* the layers under single-update verification besides the pairings,
+       each against its definition on the reference double-and-add: the
+       Montgomery ladder behind Curve.mul, the x-only membership test and
+       H1 (whose lift and square root both sides pay). The *b sets run
+       one more multiplication per ladder step (A <> 0), hence the lower
+       floors. *)
+    ("toy64", "curve-mul", 1.6); ("toy64b", "curve-mul", 1.45);
+    ("mid128", "curve-mul", 1.35); ("mid128b", "curve-mul", 1.15);
+    ("std160", "curve-mul", 1.25);
+    ("toy64", "in-g1", 1.8); ("toy64b", "in-g1", 1.6);
+    ("mid128", "in-g1", 1.35); ("mid128b", "in-g1", 1.15);
+    ("std160", "in-g1", 1.3);
+    ("toy64", "hash-to-g1", 1.25); ("toy64b", "hash-to-g1", 1.15);
+    ("mid128", "hash-to-g1", 1.2); ("mid128b", "hash-to-g1", 1.0);
+    ("std160", "hash-to-g1", 1.15);
   ]
 
 (* E14: thin-client ONLINE cost of the hardened (Liu–Cao-resistant)
