@@ -55,7 +55,7 @@ let verify_partial prms system t partial =
   | Some (_, commitment_prep) ->
       Pairing.in_g1 prms partial.value
       && Pairing.pairing_equal_check_prepared prms
-           ~lhs:(Lazy.force prms.Pairing.g_prep, partial.value)
+           ~lhs:(prms.Pairing.g_prep, partial.value)
            ~rhs:(commitment_prep, Pairing.hash_to_g1 prms t)
 
 (* Share indices are small positive integers (Shamir evaluation points);
