@@ -110,6 +110,41 @@ let add ctx a b =
         Affine { x = x3; y = y3 }
       end
 
+(* Each chord sum's slope divides by x_b - x_a; the whole batch shares
+   one inversion (Montgomery's trick: prefix products, one inverse, then
+   peel one factor per slot from the back). A pair with infinity or equal
+   abscissas (a doubling or an inverse pair) needs no division by its own
+   difference and goes through [add]. *)
+let add_many ctx pairs =
+  let fp = ctx.fp in
+  let den = function
+    | Affine pa, Affine pb when not (Fp.equal pa.x pb.x) -> Some (Fp.sub fp pb.x pa.x)
+    | _ -> None
+  in
+  let dens = Array.map den pairs in
+  let n = Array.length pairs in
+  let prefix = Array.make n (Fp.one fp) in
+  let acc = ref (Fp.one fp) in
+  Array.iteri
+    (fun i d ->
+      prefix.(i) <- !acc;
+      Option.iter (fun d -> acc := Fp.mul fp !acc d) d)
+    dens;
+  let inv = ref (if n = 0 then !acc else Fp.inv fp !acc) in
+  let out = Array.make n Infinity in
+  for i = n - 1 downto 0 do
+    out.(i) <-
+      (match (pairs.(i), dens.(i)) with
+      | (Affine pa, Affine pb), Some d ->
+          let lambda = Fp.mul fp (Fp.sub fp pb.y pa.y) (Fp.mul fp !inv prefix.(i)) in
+          inv := Fp.mul fp !inv d;
+          let x3 = Fp.sub fp (Fp.sub fp (Fp.sqr fp lambda) pa.x) pb.x in
+          let y3 = Fp.sub fp (Fp.mul fp lambda (Fp.sub fp pa.x x3)) pa.y in
+          Affine { x = x3; y = y3 }
+      | (a, b), _ -> add ctx a b)
+  done;
+  out
+
 (* Scalar multiplication runs in Jacobian coordinates (X/Z^2, Y/Z^3) so
    the whole double-and-add loop needs a single field inversion at the
    end instead of one per step. Infinity is represented by Z = 0. *)

@@ -37,6 +37,12 @@ val equal : point -> point -> bool
 val neg : ctx -> point -> point
 val add : ctx -> point -> point -> point
 val double : ctx -> point -> point
+
+val add_many : ctx -> (point * point) array -> point array
+(** [add_many ctx pairs] is [Array.map (fun (a, b) -> add ctx a b) pairs]
+    with one field inversion for the whole batch instead of one per
+    sum. *)
+
 val mul : ctx -> Bigint.t -> point -> point
 (** Scalar multiplication: an x-only Montgomery ladder, then
     Okeya-Sakurai y-recovery and one inversion. Negative scalars negate

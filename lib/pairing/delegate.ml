@@ -122,10 +122,11 @@ let wrap ctx bl ~a ~b =
   if Curve.is_infinity a || Curve.is_infinity b then
     invalid_arg "Delegate.wrap: infinity argument";
   bl.spent <- true;
-  let av1 = Curve.add curve a bl.v1 in
-  let bv2 = Curve.add curve b bl.v2 in
-  let bv6 = Curve.add curve b bl.v6 in
-  let av5 = Curve.add curve a bl.v5 in
+  let av1, bv2, bv6, av5 =
+    match Curve.add_many curve [| (a, bl.v1); (b, bl.v2); (b, bl.v6); (a, bl.v5) |] with
+    | [| av1; bv2; bv6; av5 |] -> (av1, bv2, bv6, av5)
+    | _ -> assert false
+  in
   if
     Curve.is_infinity av1 || Curve.is_infinity bv2 || Curve.is_infinity bv6
     || Curve.is_infinity av5
@@ -169,6 +170,11 @@ let in_gt prms v =
   (not (Fp2.is_zero prms.Pairing.fp v))
   && Fp2.is_one prms.Pairing.fp (Pairing.gt_pow prms v prms.Pairing.q)
 
+(* The hardened acceptance test "R_a, R_b in GT and R_b = R_a^c" needs
+   only R_a's membership exponentiation when it holds: R_a^c is in GT
+   whenever R_a is. R_b's own test runs only once the equation has
+   failed, to report the same error as testing both first would. *)
+
 let degenerate prms v = Fp2.is_zero prms.Pairing.fp v || Fp2.is_one prms.Pairing.fp v
 
 (* Run both blinded delegations and apply [mode]'s acceptance test.
@@ -211,11 +217,10 @@ let pair ctx ~mode ?blindings drbg ~helper1 ~helper2 ~a ~b =
       | Ok (r_a, r_b, responses) ->
           if List.exists (fun r -> Array.exists (degenerate prms) r) responses then
             Error "degenerate helper response slot"
-          else if not (in_gt prms r_a && in_gt prms r_b) then
-            Error "recovered value outside GT"
-          else if not (Pairing.gt_equal r_b (Pairing.gt_pow prms r_a c)) then
-            Error "secret-exponent cross-run equation failed"
-          else Ok r_a)
+          else if not (in_gt prms r_a) then Error "recovered value outside GT"
+          else if Pairing.gt_equal r_b (Pairing.gt_pow prms r_a c) then Ok r_a
+          else if not (in_gt prms r_b) then Error "recovered value outside GT"
+          else Error "secret-exponent cross-run equation failed")
 
 let equal_with ctx ?blindings drbg ~helper1 ~helper2 ~c ~lhs:(l1, l2c) ~rhs:(r1, r2) =
   let prms = ctx.prms in
@@ -236,9 +241,10 @@ let equal_with ctx ?blindings drbg ~helper1 ~helper2 ~c ~lhs:(l1, l2c) ~rhs:(r1,
   | Ok l', Ok r' ->
       if List.exists (fun r -> Array.exists (degenerate prms) r) [ rl1; rl2; rr1; rr2 ]
       then Error "degenerate helper response slot"
-      else if not (in_gt prms l' && in_gt prms r') then
-        Error "recovered value outside GT"
-      else Ok (Pairing.gt_equal l' (Pairing.gt_pow prms r' c))
+      else if not (in_gt prms r') then Error "recovered value outside GT"
+      else if Pairing.gt_equal l' (Pairing.gt_pow prms r' c) then Ok true
+      else if not (in_gt prms l') then Error "recovered value outside GT"
+      else Ok false
 
 let equal ctx ?blindings drbg ~helper1 ~helper2 ~lhs:(l1, l2) ~rhs =
   let c = random_small_exponent ctx.prms drbg in

@@ -44,6 +44,27 @@ let test_two_torsion () =
   let t = Curve.make curve ~x:(Fp.zero fp) ~y:(Fp.zero fp) in
   Alcotest.check point "2-torsion doubles to O" Curve.infinity (Curve.double curve t)
 
+(* [add_many] shares one inversion across its chord sums; each result
+   must equal [add] of its pair, including the pairs [add] handles
+   without a chord (infinity, a doubling, an inverse pair, the
+   2-torsion point) scattered among chords, and the empty batch. *)
+let test_add_many () =
+  let pt k = Curve.mul curve (B.of_int k) g in
+  let t = Curve.make curve ~x:(Fp.zero fp) ~y:(Fp.zero fp) in
+  let off = Curve.mul curve q (Pairing.hash_to_g1_unclamped prms "add-many") in
+  let pairs =
+    [| (pt 3, pt 5); (Curve.infinity, pt 7); (pt 11, pt 11); (pt 2, pt 9);
+       (pt 4, Curve.neg curve (pt 4)); (t, t); (t, pt 6); (off, pt 8);
+       (pt 12, Curve.infinity); (Curve.infinity, Curve.infinity); (pt 13, off) |]
+  in
+  let sums = Curve.add_many curve pairs in
+  Alcotest.(check int) "length" (Array.length pairs) (Array.length sums);
+  Array.iteri
+    (fun i (a, b) ->
+      Alcotest.check point (Printf.sprintf "pair %d" i) (Curve.add curve a b) sums.(i))
+    pairs;
+  Alcotest.(check int) "empty" 0 (Array.length (Curve.add_many curve [||]))
+
 let test_group_order () =
   Alcotest.(check bool) "p+1 = h*q" true
     (B.equal (Curve.group_order curve) (B.mul prms.Pairing.cofactor q))
@@ -336,6 +357,7 @@ let () =
           Alcotest.test_case "make rejects" `Quick test_make_rejects_off_curve;
           Alcotest.test_case "identity laws" `Quick test_identity_laws;
           Alcotest.test_case "2-torsion" `Quick test_two_torsion;
+          Alcotest.test_case "add_many = add" `Quick test_add_many;
           Alcotest.test_case "group order" `Quick test_group_order;
           Alcotest.test_case "#E kills all" `Quick test_full_order_kills_any_point;
         ] );
