@@ -92,6 +92,49 @@ let test_bit a i = Nat.test_bit a.mag i
 let shift_left a s = make a.sign (Nat.shift_left a.mag s)
 let shift_right a s = make a.sign (Nat.shift_right a.mag s)
 
+(* Classic carry-based recoding over an explicit bit array: at each set
+   bit take the w-bit window above it as a signed odd digit, and when the
+   digit is negative carry the borrowed 2^w back in at bit i+w. *)
+let wnaf k w =
+  if k.sign < 0 || w < 2 then invalid_arg "Bigint.wnaf";
+  let n = bit_length k in
+  (* The represented value never exceeds 2^n (negative digits round it up
+     to the next multiple of 2^(i+w), never past a power-of-two boundary),
+     so bit n is the highest ever set; the slack covers the carry index
+     i + w itself. *)
+  let len = n + w + 2 in
+  let bits = Array.make len 0 in
+  for i = 0 to n - 1 do
+    if test_bit k i then bits.(i) <- 1
+  done;
+  let digits = Array.make len 0 in
+  let top = ref (-1) in
+  let i = ref 0 in
+  while !i < len do
+    if bits.(!i) = 0 then incr i
+    else begin
+      let hi = Stdlib.min (len - 1) (!i + w - 1) in
+      let v = ref 0 in
+      for j = hi downto !i do
+        v := (!v lsl 1) lor bits.(j);
+        bits.(j) <- 0
+      done;
+      let d = if !v >= 1 lsl (w - 1) then !v - (1 lsl w) else !v in
+      digits.(!i) <- d;
+      top := !i;
+      if d < 0 then begin
+        let j = ref (!i + w) in
+        while bits.(!j) = 1 do
+          bits.(!j) <- 0;
+          incr j
+        done;
+        bits.(!j) <- 1
+      end;
+      i := !i + w
+    end
+  done;
+  Array.sub digits 0 (!top + 1)
+
 (* Decimal via 9-digit (10^9 < 2^31) chunks. *)
 let chunk = 1_000_000_000
 

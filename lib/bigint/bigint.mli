@@ -67,6 +67,14 @@ val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 (** Arithmetic shift of the magnitude (sign preserved). *)
 
+val wnaf : t -> int -> int array
+(** [wnaf k w]: the width-[w] non-adjacent form of [k >= 0], least
+    significant digit first — [k = sum d.(i) * 2^i], every nonzero digit
+    odd with [|d| < 2^(w-1)], at least [w - 1] zeros after each nonzero
+    digit, and the last digit nonzero (positive); [[||]] for zero. It is
+    the canonical recoding, so there is exactly one such array.
+    Raises [Invalid_argument] if [k < 0] or [w < 2]. *)
+
 (** {1 Conversions} *)
 
 val of_string : string -> t

@@ -60,13 +60,15 @@ let verify_with prms vrf msg signature =
    Two batch-level algebraic savings over n per-item verifications,
    beyond sharing the pairings:
 
-   - subgroup checks are cofactored (as in Ed25519 batch verification):
-     each signature pays only the cheap on-curve test, and ONE q-mult
-     checks the weighted sum. A cofactor component c_i in sig_i
-     survives only if sum d_i c_i = 0, a relation the adversary cannot
-     aim for because the d_i re-randomize with the batch content; such
-     components are invisible to the pairing (e^(G, c) = 1 for c of
-     order coprime to q), so they cannot authenticate anything either.
+   - subgroup checks are aggregated: each signature pays only the cheap
+     on-curve test, and ONE q-mult checks the weighted sum. That is sound
+     only for items already in G1, which every decoder guarantees: a
+     component c_i of order l | h in sig_i drops out of sum d_i sig_i
+     whenever l | d_i (probability 1/l, retried by changing the batch),
+     and the pairing cannot see it either (e^(G, c) = 1 for c of order
+     coprime to q). Such a component authenticates nothing, but the
+     batch verdict then differs from the single ones (ROADMAP.md,
+     item 1).
 
    - cofactor clearing inside H1 commutes with the weighted sum
      (sum d_i * (h * P_i) = h * sum d_i * P_i), so each item hashes only

@@ -33,20 +33,25 @@ val verify_batch :
 (** Same-signer batch verification with small random exponents
     (Bellare–Garay–Rabin): checks
     e^(G, sum d_i sigma_i) = e^(sG, sum d_i H1(m_i)) — two pairings total
-    instead of 2n, plus two cheap 64-bit scalar mults per item. The d_i
-    are derandomized ({!Pairing.batch_exponents} keyed by signer and
-    batch), which defeats cancellation attacks that fool an unweighted
-    sum; duplicate messages are consequently fine. Accepts iff every item
-    passes {!verify}, except with probability ~2^-64 over the exponents.
-    Subgroup checks are cofactored (the Ed25519-batch convention): items
-    pay only the on-curve test and ONE q-mult checks the weighted sum, so
-    an off-subgroup-but-on-curve component — which the pairing cannot see
-    (e^(G, c) = 1 for c of order coprime to q) and which therefore never
-    authenticates anything — is rejected up to the same ~2^-64 bound
-    rather than deterministically. Similarly H1's cofactor clearing is
-    hoisted out of the items and paid once on the H-sum. [pool] shards
-    the per-item work across domains; the verdict is identical with or
-    without it. *)
+    instead of 2n, plus one multi-scalar multiplication of 64-bit
+    exponents per side. The d_i are derandomized
+    ({!Pairing.batch_exponents} keyed by signer and batch), which defeats
+    cancellation attacks that fool an unweighted sum; duplicate messages
+    are consequently fine.
+
+    Precondition: every sigma_i is already in G1. Every decoder
+    guarantees it ({!signature_of_bytes} included): points are read
+    through [Codec.read_point], which runs {!Pairing.in_g1}. Under it,
+    the batch accepts iff every item passes {!verify}, except with
+    probability ~2^-64 over the exponents. Items pay only the on-curve
+    test and ONE subgroup test runs on the weighted sum, so without the
+    precondition the verdicts can differ: a component of order l
+    dividing the cofactor, invisible to the pairing (e^(G, c) = 1),
+    drops out of sum d_i sigma_i whenever l | d_i, and the batch then
+    accepts, with probability ~1/l per batch content, an item {!verify}
+    rejects (ROADMAP.md, item 1). H1's cofactor clearing is hoisted out
+    of the items and paid once on the H-sum. [pool] shards the per-item
+    work across domains; the verdict is identical with or without it. *)
 
 type verifier
 (** Prepared pairings ({!Pairing.prepare}) for one signer's (G, pk), for

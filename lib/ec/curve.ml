@@ -486,48 +486,6 @@ let mul_double_add ctx k point =
       done;
       jac_to_affine ctx !acc
 
-(* Width-w non-adjacent form of k >= 0: digits.(i) is the signed odd digit
-   at bit i, in (-2^(w-1), 2^(w-1)), with at least w-1 zeros after every
-   nonzero digit. Classic carry-based recoding over an explicit bit
-   array. *)
-let wnaf_digits k w =
-  let n = Bigint.bit_length k in
-  (* The represented value never exceeds 2^n (negative digits round it up
-     to the next multiple of 2^(i+w), never past a power-of-two boundary),
-     so bit n is the highest ever set; the slack covers the carry index
-     i + w itself. *)
-  let len = n + w + 2 in
-  let bits = Array.make len 0 in
-  for i = 0 to n - 1 do
-    if Bigint.test_bit k i then bits.(i) <- 1
-  done;
-  let digits = Array.make len 0 in
-  let i = ref 0 in
-  while !i < len do
-    if bits.(!i) = 0 then incr i
-    else begin
-      let hi = Stdlib.min (len - 1) (!i + w - 1) in
-      let v = ref 0 in
-      for j = hi downto !i do
-        v := (!v lsl 1) lor bits.(j);
-        bits.(j) <- 0
-      done;
-      let d = if !v >= 1 lsl (w - 1) then !v - (1 lsl w) else !v in
-      digits.(!i) <- d;
-      if d < 0 then begin
-        (* We emitted v - 2^w; add the borrowed 2^w back at bit i+w. *)
-        let j = ref (!i + w) in
-        while bits.(!j) = 1 do
-          bits.(!j) <- 0;
-          incr j
-        done;
-        bits.(!j) <- 1
-      end;
-      i := !i + w
-    end
-  done;
-  digits
-
 (* --- x-only Montgomery ladder ---
 
    A point is tracked by its Montgomery u-coordinate alone, as (X : Z)
@@ -692,7 +650,7 @@ let msm ctx pairs =
               plain := add ctx !plain (mul ctx k p);
               None
             end
-            else Some (wnaf_digits k w, tbl))
+            else Some (Bigint.wnaf k w, tbl))
       pairs
   in
   match terms with
@@ -705,14 +663,10 @@ let msm ctx pairs =
           (fun i (digits, _) -> (digits, Array.sub aff (i * tcount) tcount))
           terms
       in
+      (* every digit stream ends on its top nonzero digit *)
       let top =
         List.fold_left
-          (fun hi (digits, _) ->
-            let t = ref (Array.length digits - 1) in
-            while !t > 0 && digits.(!t) = 0 do
-              decr t
-            done;
-            Stdlib.max hi !t)
+          (fun hi (digits, _) -> Stdlib.max hi (Array.length digits - 1))
           0 terms
       in
       let r = jregs_acquire fp in

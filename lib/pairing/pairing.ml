@@ -131,30 +131,15 @@ let cube_root_of_unity fp =
    pairing values agree bit-for-bit after the final exponentiation —
    which is what the differential tests and [bench --smoke] pin.
 
-   [wnaf_digits n w]: MSB-first width-w non-adjacent form of n > 0 —
-   odd digits in (-2^(w-1), 2^(w-1)), at most one nonzero in any w
-   consecutive positions, leading digit positive. w = 2 is the classic
-   NAF driving the Miller loops; w = 5 recodes the final-exponentiation
-   cofactor, whose negative digits cost nothing because inversion in the
-   norm-1 subgroup is conjugation. *)
-let wnaf_digits n w =
-  let two_w = Bigint.shift_left Bigint.one w in
-  let half = Bigint.shift_left Bigint.one (w - 1) in
-  let digits = ref [] and x = ref n in
-  while Bigint.sign !x > 0 do
-    if Bigint.is_odd !x then begin
-      let r = Bigint.erem !x two_w in
-      let d =
-        if Bigint.compare r half >= 0 then Bigint.to_int_exn (Bigint.sub r two_w)
-        else Bigint.to_int_exn r
-      in
-      digits := d :: !digits;
-      x := Bigint.sub !x (Bigint.of_int d)
-    end
-    else digits := 0 :: !digits;
-    x := Bigint.shift_right !x 1
-  done;
-  Array.of_list !digits
+   [wnaf_msb n w]: {!Bigint.wnaf} read most significant digit first, so
+   the leading digit is positive. w = 2 is the classic NAF driving the
+   Miller loops; w = 5 recodes the final-exponentiation cofactor, whose
+   negative digits cost nothing because inversion in the norm-1 subgroup
+   is conjugation. *)
+let wnaf_msb n w =
+  let d = Bigint.wnaf n w in
+  let l = Array.length d in
+  Array.init l (fun i -> d.(l - 1 - i))
 
 (* Raised by the signed-digit walkers on the one degenerate case they do
    not model: an addition step whose operands coincide (T = dP with
@@ -361,7 +346,7 @@ let make ?(family = Y2_x3_x) ~name ~p ~q () =
      the odd-power table build (one squaring plus tsize-1 products) when
      any digit exceeds 1. The exponent is fixed per parameter set, so
      the scan costs nothing on any hot path. *)
-  let q_naf = wnaf_digits q 2 in
+  let q_naf = wnaf_msb q 2 in
   let cofactor_wnaf =
     let cost digits =
       let n = Array.length digits in
@@ -381,9 +366,9 @@ let make ?(family = Y2_x3_x) ~name ~p ~q () =
     (* Width 5 is the ceiling: the per-domain register file holds eight
        odd powers (digits to 15), and no candidate exponent size here
        amortizes a 16-entry table anyway. *)
-    let best = ref (wnaf_digits cofactor 2) in
+    let best = ref (wnaf_msb cofactor 2) in
     for w = 3 to 5 do
-      let cand = wnaf_digits cofactor w in
+      let cand = wnaf_msb cofactor w in
       if cost cand < cost !best then best := cand
     done;
     !best

@@ -59,8 +59,8 @@ let issue t epoch =
   | Some upd -> upd
   | None ->
       (* No fixed-base precomputation applies here: the scalar s is fixed
-         but the base H1(T) is fresh per epoch, so the wNAF path inside
-         Curve.mul is already the best available. *)
+         but the base H1(T) is fresh per epoch, so Curve.mul's Montgomery
+         ladder is already the best available. *)
       let upd = Tre.issue_update t.prms t.secret label in
       Hashtbl.replace t.issued label upd;
       upd

@@ -4,52 +4,48 @@ type time = string
 exception Update_mismatch
 
 module Server = struct
-  type secret = { s : Bigint.t; gen : Curve.point }
-  type public = { g : Curve.point; sg : Curve.point }
+  type secret = Tre.Server.secret
+  type public = Tre.Server.public = { g : Curve.point; sg : Curve.point }
 
-  let keygen ?g prms rng =
-    let gen = match g with Some g -> g | None -> prms.Pairing.g in
-    if Curve.is_infinity gen || not (Pairing.in_g1 prms gen) then
-      invalid_arg "Id_tre.Server: generator must be a non-identity G1 point";
-    let s = Pairing.random_scalar prms rng in
-    ({ s; gen }, { g = gen; sg = Curve.mul prms.Pairing.curve s gen })
+  let keygen = Tre.Server.keygen
 
   let extract prms sec id =
-    Curve.mul prms.Pairing.curve sec.s (Pairing.hash_to_g1 prms id)
+    Curve.mul prms.Pairing.curve (Tre.Server.secret_to_scalar sec)
+      (Pairing.hash_to_g1 prms id)
 
-  let issue_update prms sec t =
-    { Tre.update_time = t;
-      update_value = Curve.mul prms.Pairing.curve sec.s (Pairing.hash_to_g1 prms t) }
+  let issue_update = Tre.issue_update
 end
 
-let verify_update prms (pub : Server.public) upd =
-  Pairing.in_g1 prms upd.Tre.update_value
-  && Pairing.pairing_equal_check prms
-       ~lhs:(pub.Server.sg, Pairing.hash_to_g1 prms upd.Tre.update_time)
-       ~rhs:(pub.Server.g, upd.Tre.update_value)
+let verify_update = Tre.verify_update
 
+(* A private key is a BLS signature on the identity string, as an update
+   is one on the time label. *)
 let verify_private_key prms (pub : Server.public) id d =
-  Pairing.in_g1 prms d
-  && Pairing.pairing_equal_check prms ~lhs:(pub.Server.g, d)
-       ~rhs:(pub.Server.sg, Pairing.hash_to_g1 prms id)
+  Bls.verify prms { Bls.g = pub.Server.g; pk = pub.Server.sg } id d
 
 type ciphertext = { u : Curve.point; v : string; release_time : time }
 
-let session_key prms (srv_sg : Curve.point) ~id ~release_time ~r =
-  let curve = prms.Pairing.curve in
-  let ke =
-    Curve.add curve (Pairing.hash_to_g1 prms id) (Pairing.hash_to_g1 prms release_time)
-  in
-  Pairing.pairing prms (Curve.mul curve r srv_sg) ke
+let encryption_point prms ~id ~release_time =
+  Curve.add prms.Pairing.curve (Pairing.hash_to_g1 prms id)
+    (Pairing.hash_to_g1 prms release_time)
+
+(* The sender's formula, shared by the one-shot path and {!Encryptor} as
+   in {!Tre}: r is the first and only draw from [rng], U = [mul_u] r = rG,
+   and K = e^(r sG, K_E) is computed as [base]^r with
+   [base] = e^(sG, K_E), K_E = H1(ID) + H1(T). *)
+let seal prms ~mul_u base ~release_time rng msg =
+  let r = Pairing.random_scalar prms rng in
+  let k = Pairing.gt_pow prms base r in
+  { u = mul_u r; v = Hashing.Kdf.xor msg (Pairing.h2 prms k (String.length msg)); release_time }
 
 let encrypt prms (srv : Server.public) id ~release_time rng msg =
-  let r = Pairing.random_scalar prms rng in
-  let k = session_key prms srv.Server.sg ~id ~release_time ~r in
-  {
-    u = Curve.mul prms.Pairing.curve r srv.Server.g;
-    v = Hashing.Kdf.xor msg (Pairing.h2 prms k (String.length msg));
-    release_time;
-  }
+  let mul_u =
+    if Curve.equal srv.Server.g prms.Pairing.g then Pairing.mul_g prms
+    else fun r -> Curve.mul prms.Pairing.curve r srv.Server.g
+  in
+  seal prms ~mul_u
+    (Pairing.pairing prms srv.Server.sg (encryption_point prms ~id ~release_time))
+    ~release_time rng msg
 
 (* Sender-side precomputation: K = e^(r*sG, K_E) = e^(sG, K_E)^r, with sG
    fixed — so prepare sG once and cache the pairing per (id, T); repeated
@@ -79,23 +75,16 @@ module Encryptor = struct
     match Hashtbl.find_opt enc.cache (id, release_time) with
     | Some k -> k
     | None ->
-        let ke =
-          Curve.add enc.prms.Pairing.curve
-            (Pairing.hash_to_g1 enc.prms id)
-            (Pairing.hash_to_g1 enc.prms release_time)
+        let k =
+          Pairing.pairing_prepared enc.prms enc.sg_prep
+            (encryption_point enc.prms ~id ~release_time)
         in
-        let k = Pairing.pairing_prepared enc.prms enc.sg_prep ke in
         Hashtbl.add enc.cache (id, release_time) k;
         k
 
   let encrypt enc id ~release_time rng msg =
-    let r = Pairing.random_scalar enc.prms rng in
-    let k = Pairing.gt_pow enc.prms (session_base enc ~id ~release_time) r in
-    {
-      u = Curve.Table.mul enc.g_table r;
-      v = Hashing.Kdf.xor msg (Pairing.h2 enc.prms k (String.length msg));
-      release_time;
-    }
+    seal enc.prms ~mul_u:(Curve.Table.mul enc.g_table)
+      (session_base enc ~id ~release_time) ~release_time rng msg
 end
 
 let decrypt prms ~private_key upd ct =
@@ -116,11 +105,9 @@ let decrypt_batch ?pool prms ~private_key pairs =
 let escrow_decrypt prms (sec : Server.secret) id ct =
   (* The server derives the user's private key and the update by itself —
      inherent key escrow of identity-based schemes. *)
-  let d = Server.extract prms sec id in
-  let upd = Server.issue_update prms sec ct.release_time in
-  let kd = Curve.add prms.Pairing.curve d upd.Tre.update_value in
-  let k = Pairing.pairing prms ct.u kd in
-  Hashing.Kdf.xor ct.v (Pairing.h2 prms k (String.length ct.v))
+  decrypt prms ~private_key:(Server.extract prms sec id)
+    (Server.issue_update prms sec ct.release_time)
+    ct
 
 let ciphertext_to_bytes prms ct =
   Codec.encode prms Codec.Ciphertext_id (fun buf ->

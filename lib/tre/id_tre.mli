@@ -15,23 +15,31 @@ type time = string
 
 exception Update_mismatch
 
+(** The ID-TRE server is the TRE server — the same keys s and (G, sG),
+    the same updates — that also extracts private keys. *)
 module Server : sig
-  type secret
-  type public = { g : Curve.point; sg : Curve.point }
+  type secret = Tre.Server.secret
+  type public = Tre.Server.public = { g : Curve.point; sg : Curve.point }
 
   val keygen : ?g:Curve.point -> Pairing.params -> Hashing.Drbg.t -> secret * public
+  (** {!Tre.Server.keygen}. *)
+
   val extract : Pairing.params -> secret -> identity -> Curve.point
   (** User Key Generation: the private key s*H1(ID), delivered to the user
       over a secure channel (a structural cost TRE avoids). *)
 
   val issue_update : Pairing.params -> secret -> time -> Tre.update
+  (** {!Tre.issue_update}. *)
 end
 
 val verify_update : Pairing.params -> Server.public -> Tre.update -> bool
+(** {!Tre.verify_update}. *)
 
 val verify_private_key :
   Pairing.params -> Server.public -> identity -> Curve.point -> bool
-(** A user checks the extracted key: e^(G, d) = e^(sG, H1(ID)). *)
+(** A user checks the extracted key, a BLS signature on the identity:
+    {!Bls.verify} under (G, sG), i.e. e^(G, d) = e^(sG, H1(ID)) plus
+    subgroup membership of [d]. *)
 
 type ciphertext = { u : Curve.point; v : string; release_time : time }
 
@@ -43,7 +51,9 @@ val encrypt :
   Hashing.Drbg.t ->
   string ->
   ciphertext
-(** K_E = H1(ID) + H1(T); K = e^(sG, K_E)^r; C = <rG, M xor H2(K)>. *)
+(** K_E = H1(ID) + H1(T); K = e^(sG, K_E)^r; C = <rG, M xor H2(K)>.
+    U runs on the parameter set's fixed-base table when G is its
+    generator; the bytes are those of K = e^(r sG, K_E). *)
 
 (** Stateful sender context: prepares sG once, serves U = rG from a
     fixed-base table and caches e^(sG, H1(ID) + H1(T)) per recipient and

@@ -34,9 +34,7 @@ let validate_receiver_key prms servers (pk : receiver_public) =
   && Pairing.in_g1 prms pk.ag
   && Pairing.in_g1 prms pk.k_new
   && (not (Curve.is_infinity pk.ag))
-  && Pairing.pairing_equal_check prms
-       ~lhs:(prms.Pairing.g, pk.k_new)
-       ~rhs:(pk.ag, sum_server_points prms servers)
+  && Pairing.ddh prms pk.ag prms.Pairing.g pk.k_new (sum_server_points prms servers)
 
 let encrypt prms servers pk ~release_time rng msg =
   if not (validate_receiver_key prms servers pk) then raise Invalid_receiver_key;

@@ -1,7 +1,7 @@
 type system = {
   public : Tre.Server.public;
   share_commitments : (int * Curve.point) array;
-  commitment_preps : (int * Pairing.prepared) array;
+  share_verifiers : (int * Bls.verifier) array;
   k : int;
   n : int;
 }
@@ -26,10 +26,12 @@ let setup prms rng ~k ~n =
     {
       public = { Tre.Server.g; sg = Curve.mul curve s g };
       share_commitments;
-      (* Partial verification pairs against the same commitments for the
-         system's whole lifetime; prepare them once at setup. *)
-      commitment_preps =
-        Array.map (fun (i, c) -> (i, Pairing.prepare prms c)) share_commitments;
+      (* A partial is a BLS signature under (G, s_i G), checked against
+         the same key for the system's whole lifetime; prepare it once. *)
+      share_verifiers =
+        Array.map
+          (fun (i, c) -> (i, Bls.make_verifier prms { Bls.g; pk = c }))
+          share_commitments;
       k;
       n;
     }
@@ -49,14 +51,10 @@ let issue_partial prms srv t =
 
 let verify_partial prms system t partial =
   match
-    Array.find_opt (fun (i, _) -> i = partial.server_index) system.commitment_preps
+    Array.find_opt (fun (i, _) -> i = partial.server_index) system.share_verifiers
   with
   | None -> false
-  | Some (_, commitment_prep) ->
-      Pairing.in_g1 prms partial.value
-      && Pairing.pairing_equal_check_prepared prms
-           ~lhs:(prms.Pairing.g_prep, partial.value)
-           ~rhs:(commitment_prep, Pairing.hash_to_g1 prms t)
+  | Some (_, vrf) -> Bls.verify_with prms vrf t partial.value
 
 (* Share indices are small positive integers (Shamir evaluation points);
    bound them on the wire so a forged partial cannot smuggle an absurd

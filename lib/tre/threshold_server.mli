@@ -20,9 +20,9 @@
 type system = {
   public : Tre.Server.public;  (** the ordinary (G, sG) users see *)
   share_commitments : (int * Curve.point) array;  (** (i, s_i G), for share verification *)
-  commitment_preps : (int * Pairing.prepared) array;
-      (** the commitments {!Pairing.prepare}d once at setup; used by
-          {!verify_partial} *)
+  share_verifiers : (int * Bls.verifier) array;
+      (** (i, {!Bls.make_verifier} of (G, s_i G)), built once at setup;
+          used by {!verify_partial} *)
   k : int;
   n : int;
 }
@@ -41,7 +41,8 @@ val setup :
 val issue_partial : Pairing.params -> share_server -> Tre.time -> partial
 
 val verify_partial : Pairing.params -> system -> Tre.time -> partial -> bool
-(** e^(G, sigma_i) = e^(s_i G, H1(T)) — catches corrupt share-servers. *)
+(** {!Bls.verify_with} under (G, s_i G): e^(G, sigma_i) = e^(s_i G, H1(T))
+    plus subgroup membership of sigma_i — catches corrupt share-servers. *)
 
 val partial_to_bytes : Pairing.params -> partial -> string
 val partial_of_bytes : Pairing.params -> string -> (partial, string) result

@@ -45,42 +45,28 @@ let issue_update prms (sec : Server.secret) t =
   { update_time = t;
     update_value = Curve.mul prms.Pairing.curve sec.Server.s (Pairing.hash_to_g1 prms t) }
 
-let verify_update prms (pub : Server.public) upd =
-  Pairing.in_g1 prms upd.update_value
-  && Pairing.pairing_equal_check prms
-       ~lhs:(pub.Server.sg, Pairing.hash_to_g1 prms upd.update_time)
-       ~rhs:(pub.Server.g, upd.update_value)
+(* An update IS a BLS signature on its time label under (G, sG)
+   (§5.3.1), so every update check is a {!Bls} verification. *)
+let bls_public (pub : Server.public) = { Bls.g = pub.Server.g; pk = pub.Server.sg }
 
-(* Both pairings of the verification equation have a fixed first argument
-   (sG and G), so a long-lived verifier prepares them once and each
-   update then costs only the two Miller-loop evaluations. [vkey] keys
-   the batch-verification exponent derandomizer to this server. *)
+let verify_update prms pub upd =
+  Bls.verify prms (bls_public pub) upd.update_time upd.update_value
+
+(* A {!Bls.verifier} of (G, sG), plus the raw key: delegated verification
+   sends G and sG (blinded) instead of pairing on-device. *)
 type verifier = {
-  vg : Pairing.prepared;
-  vsg : Pairing.prepared;
-  vgp : Curve.point;  (* the raw points: delegated verification sends *)
-  vsgp : Curve.point; (* them (blinded) instead of pairing on-device *)
-  vdel : Delegate.ctx Lazy.t;
+  bls : Bls.verifier;
+  pub : Server.public;
+  del : Delegate.ctx Lazy.t;
       (* forced only on the thin-client path (costs one pairing);
          verifiers are single-domain values, so the lazy is safe *)
-  vkey : string;
 }
 
-let make_verifier prms (pub : Server.public) =
-  { vg = Pairing.prepare prms pub.Server.g;
-    vsg = Pairing.prepare prms pub.Server.sg;
-    vgp = pub.Server.g;
-    vsgp = pub.Server.sg;
-    vdel = lazy (Delegate.make prms);
-    vkey =
-      Curve.to_bytes prms.Pairing.curve pub.Server.g
-      ^ Curve.to_bytes prms.Pairing.curve pub.Server.sg }
+let make_verifier prms pub =
+  { bls = Bls.make_verifier prms (bls_public pub); pub; del = lazy (Delegate.make prms) }
 
 let verify_update_with prms vrf upd =
-  Pairing.in_g1 prms upd.update_value
-  && Pairing.pairing_equal_check_prepared prms
-       ~lhs:(vrf.vsg, Pairing.hash_to_g1 prms upd.update_time)
-       ~rhs:(vrf.vg, upd.update_value)
+  Bls.verify_with prms vrf.bls upd.update_time upd.update_value
 
 module User = struct
   type secret = Bigint.t
@@ -111,9 +97,7 @@ let validate_receiver_key prms (srv : Server.public) (pk : User.public) =
   Pairing.in_g1 prms pk.User.ag
   && Pairing.in_g1 prms pk.User.asg
   && (not (Curve.is_infinity pk.User.ag))
-  && Pairing.pairing_equal_check prms
-       ~lhs:(pk.User.ag, srv.Server.sg)
-       ~rhs:(srv.Server.g, pk.User.asg)
+  && Pairing.ddh prms srv.Server.g pk.User.ag srv.Server.sg pk.User.asg
 
 let verify_server_change prms ~(certified : User.public) ~(new_server : Server.public)
     ~(candidate : User.public) =
@@ -212,19 +196,6 @@ let decrypt_batch ?pool prms (a : User.secret) pairs =
   | None -> List.map one pairs
   | Some pool -> Pool.map pool one pairs
 
-(* Batch verification of key updates. An update IS a BLS signature on its
-   time label under (G, sG) (§5.3.1), so n update checks collapse the same
-   way {!Bls.verify_batch} collapses: with derandomized 64-bit exponents
-   d_i, check e^(sG, sum d_i H1(T_i)) = e^(G, sum d_i I_i) — two prepared
-   pairings per BATCH instead of two per update. Subgroup checks are
-   cofactored the same way as in [Bls.batch_sums]: per item only the
-   on-curve test, then one q-mult on the weighted update sum; and H1
-   hashes only to the raw curve lift per item, with the cofactor cleared
-   once on the H-sum (clearing commutes with the weighted sum). The
-   residual per-item work (on-curve check, raw H1 lift) shards across an
-   optional pool; the weighted sums are two multi-scalar multiplications
-   ([Curve.msm]) on the caller, so the sums are bit-identical to the
-   serial path. *)
 module Verifier = struct
   type t = verifier
 
@@ -246,7 +217,7 @@ module Verifier = struct
     && (not (Curve.is_infinity upd.update_value))
     &&
     let curve = prms.Pairing.curve in
-    let ctx = Lazy.force vrf.vdel in
+    let ctx = Lazy.force vrf.del in
     let c = Delegate.random_small_exponent prms rng in
     let ch =
       let raw = Pairing.hash_to_g1_unclamped prms upd.update_time in
@@ -260,55 +231,15 @@ module Verifier = struct
     in
     match
       Delegate.equal_with ctx ?blindings rng ~helper1 ~helper2 ~c
-        ~lhs:(vrf.vsgp, ch) ~rhs:(vrf.vgp, upd.update_value)
+        ~lhs:(vrf.pub.Server.sg, ch) ~rhs:(vrf.pub.Server.g, upd.update_value)
     with
     | Ok decision -> decision
     | Error _ -> false
 
+  (* An update list is a same-signer BLS batch on the (T_i, I_i) pairs. *)
   let verify_updates ?pool prms vrf updates =
-    if updates = [] then true
-    else begin
-      let curve = prms.Pairing.curve in
-      let seed =
-        let buf = Buffer.create 256 in
-        Buffer.add_string buf "TRE-update-batch|";
-        Buffer.add_string buf vrf.vkey;
-        List.iter
-          (fun u ->
-            Buffer.add_string buf
-              (Printf.sprintf "|%d|" (String.length u.update_time));
-            Buffer.add_string buf u.update_time;
-            Buffer.add_string buf (Curve.to_bytes curve u.update_value))
-          updates;
-        Buffer.contents buf
-      in
-      let ds = Pairing.batch_exponents prms ~seed (List.length updates) in
-      let weigh u =
-        ( Curve.on_curve curve u.update_value,
-          Pairing.hash_to_g1_unclamped prms u.update_time,
-          u.update_value )
-      in
-      let checked =
-        match pool with
-        | None -> List.map weigh updates
-        | Some pool -> Pool.map pool weigh updates
-      in
-      (not (List.exists (fun (ok, _, _) -> not ok) checked))
-      && begin
-           let sum_h_raw =
-             Curve.msm curve (List.map2 (fun d (_, h, _) -> (d, h)) ds checked)
-           in
-           let sum_sig =
-             Curve.msm curve (List.map2 (fun d (_, _, s) -> (d, s)) ds checked)
-           in
-           (* One aggregate subgroup check on the update sum, one
-              aggregate cofactor clearing on the H-sum. *)
-           Pairing.in_g1 prms sum_sig
-           && Pairing.pairing_equal_check_prepared prms
-                ~lhs:(vrf.vsg, Curve.mul curve prms.Pairing.cofactor sum_h_raw)
-                ~rhs:(vrf.vg, sum_sig)
-         end
-    end
+    Bls.verify_batch_with ?pool prms vrf.bls
+      (List.map (fun u -> (u.update_time, u.update_value)) updates)
 end
 
 (* --- serialization ---

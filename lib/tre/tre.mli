@@ -59,24 +59,24 @@ val issue_update : Pairing.params -> Server.secret -> time -> update
     Note it needs no memory of users, messages, or future times. *)
 
 val verify_update : Pairing.params -> Server.public -> update -> bool
-(** Anyone checks e^(sG, H1(T)) = e^(G, I_T); no extra server signature is
-    needed. Also enforces subgroup membership of the update point. *)
+(** {!Bls.verify} of I_T on T under (G, sG): anyone checks
+    e^(G, I_T) = e^(sG, H1(T)) plus subgroup membership of I_T; no extra
+    server signature is needed. *)
 
 type verifier
-(** Prepared pairings for a server public key ({!Pairing.prepare} of G and
-    sG), for parties that verify many updates from one server. *)
+(** A {!Bls.verifier} of the server public key (G and sG prepared once),
+    for parties that verify many updates from one server. *)
 
 val make_verifier : Pairing.params -> Server.public -> verifier
 val verify_update_with : Pairing.params -> verifier -> update -> bool
-(** Same result as {!verify_update}, amortizing the Miller-loop point
-    arithmetic across updates. *)
+(** {!Bls.verify_with}: same result as {!verify_update}, amortizing the
+    Miller-loop point arithmetic across updates. *)
 
-(** Batch verification of key updates — the update {e is} a BLS signature
-    on its time label (§5.3.1), so n checks collapse into one
-    product-of-pairings with small random exponents (Bellare–Garay–Rabin):
-    e^(sG, sum d_i H1(T_i)) = e^(G, sum d_i I_i) — two prepared pairings
-    per batch instead of two per update. A client catching up on missed
-    epochs verifies the whole backlog at close to the cost of one check. *)
+(** Verification of key updates — the update {e is} a BLS signature on
+    its time label (§5.3.1), so a backlog of n updates is one
+    {!Bls.verify_batch_with}: two prepared pairings per batch instead of
+    two per update. A client catching up on missed epochs verifies the
+    whole backlog at close to the cost of one check. *)
 module Verifier : sig
   type t = verifier
 
@@ -105,19 +105,9 @@ module Verifier : sig
       phase, {!Delegate.blind}); omitted, they are drawn inline. *)
 
   val verify_updates : ?pool:Pool.t -> Pairing.params -> t -> update list -> bool
-  (** True iff every update in the list would pass {!verify_update},
-      except with probability ~2^-64 per batch. The exponents d_i are
-      derandomized (keyed by the server key and the serialized batch,
-      {!Pairing.batch_exponents}), which defeats cancellation attacks on
-      unweighted sums and makes the verdict reproducible. Subgroup checks
-      are cofactored as in {!Bls.verify_batch}: per item only the
-      on-curve test, then one q-mult on the weighted update sum — an
-      off-subgroup component (invisible to the pairing, hence inert for
-      decryption) is caught up to the same ~2^-64 bound rather than
-      deterministically. H1's cofactor clearing is likewise paid once on
-      the H-sum. [pool] shards the per-item work (on-curve check, raw H1
-      lift, two 64-bit scalar mults) across domains; the verdict is
-      identical with or without it. The empty batch verifies trivially. *)
+  (** {!Bls.verify_batch_with} on the (T_i, I_i) pairs, with its
+      guarantee and its precondition: every I_i already in G1, as
+      {!update_of_bytes} ensures. The empty batch verifies trivially. *)
 end
 
 (** Receiver keys (User Key Generation, §5.1). *)
@@ -144,9 +134,10 @@ module User : sig
 end
 
 val validate_receiver_key : Pairing.params -> Server.public -> User.public -> bool
-(** Step 1 of Encryption (§5.1): e^(aG, sG) = e^(G, asG), plus on-curve and
-    subgroup checks. Guarantees the receiver really needs the server's
-    update to decrypt. *)
+(** Step 1 of Encryption (§5.1): (G, aG, sG, asG) is a DDH tuple
+    ({!Pairing.ddh}: e^(aG, sG) = e^(G, asG)), aG is not the identity,
+    and both points pass the on-curve and subgroup checks. Guarantees
+    the receiver really needs the server's update to decrypt. *)
 
 val verify_server_change :
   Pairing.params ->

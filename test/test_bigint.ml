@@ -392,6 +392,73 @@ let test_random_bits_width () =
     if B.bit_length (B.random_bits rng 100) > 100 then Alcotest.fail "too wide"
   done
 
+(* --- wNAF recoding ---
+
+   [B.wnaf k w] drives both the Miller loops and final exponentiation
+   (read most significant digit first by [Pairing]) and [Curve.msm]. The
+   width-w NAF is pinned by its defining properties, which make it
+   unique: the digits sum back to k, every nonzero digit is odd and below
+   2^(w-1) in magnitude, w-1 zeros follow each nonzero digit, and the
+   last digit is the top nonzero one. *)
+
+let check_wnaf ~what k w =
+  let d = B.wnaf k w in
+  let n = Array.length d in
+  let sum = ref B.zero in
+  Array.iteri (fun i di -> sum := B.add !sum (B.shift_left (B.of_int di) i)) d;
+  Alcotest.check b (what ^ ": sum d_i 2^i = k") k !sum;
+  Array.iteri
+    (fun i di ->
+      if di <> 0 then begin
+        if di land 1 = 0 || abs di >= 1 lsl (w - 1) then
+          Alcotest.failf "%s: digit %d at %d is not odd below 2^%d" what di i (w - 1);
+        for j = i + 1 to Stdlib.min (n - 1) (i + w - 1) do
+          if d.(j) <> 0 then Alcotest.failf "%s: nonzero digits at %d and %d" what i j
+        done
+      end)
+    d;
+  if n > 0 && d.(n - 1) <= 0 then Alcotest.failf "%s: top digit %d" what d.(n - 1)
+
+let test_wnaf_parameter_sets () =
+  let rng = Hashing.Drbg.create ~seed:"wnaf" () in
+  List.iter
+    (fun name ->
+      let prms = Option.get (Pairing.by_name name) in
+      let scalars =
+        [ ("q", prms.Pairing.q); ("h", prms.Pairing.cofactor) ]
+        @ List.init 40 (fun i -> (Printf.sprintf "random %d" i, B.random_bits rng 192))
+      in
+      for w = 2 to 5 do
+        List.iter
+          (fun (what, k) -> check_wnaf ~what:(Printf.sprintf "%s, %s, w = %d" name what w) k w)
+          scalars
+      done;
+      (* the Miller loops' schedule is this recoding, read MSB first *)
+      let naf = B.wnaf prms.Pairing.q 2 in
+      let l = Array.length naf in
+      Alcotest.(check (array int)) (name ^ ": q_naf") (Array.init l (fun i -> naf.(l - 1 - i)))
+        prms.Pairing.q_naf)
+    Pairing.all_names
+
+let prop_wnaf =
+  QCheck2.Test.make ~name:"wnaf canonical form" ~count:300
+    QCheck2.Gen.(pair (gen_positive ~max_bits:300 ()) (int_range 2 5))
+    (fun (k, w) ->
+      check_wnaf ~what:"random" k w;
+      true)
+
+let test_wnaf_edges () =
+  Alcotest.(check (array int)) "zero" [||] (B.wnaf B.zero 4);
+  List.iter
+    (fun k ->
+      for w = 2 to 5 do
+        check_wnaf ~what:(Printf.sprintf "%s, w = %d" (B.to_string k) w) k w
+      done)
+    (List.map B.of_int [ 1; 2; 3; 7; 8; 15; 16; 31; 255; 256; 0x5555; 0xAAAA ]
+    @ List.init 4 (fun i -> B.pred (B.shift_left B.one (64 * (i + 1)))));
+  Alcotest.check_raises "negative" (Invalid_argument "Bigint.wnaf") (fun () ->
+      ignore (B.wnaf B.minus_one 4))
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "bigint"
@@ -437,6 +504,13 @@ let () =
         ] );
       ( "division-fuzz",
         [ Alcotest.test_case "knuth structured fuzz" `Slow test_knuth_division_structured_fuzz ] );
+      ( "wnaf",
+        q [ prop_wnaf ]
+        @ [
+            Alcotest.test_case "edges" `Quick test_wnaf_edges;
+            Alcotest.test_case "q, h and random scalars, all sets" `Quick
+              test_wnaf_parameter_sets;
+          ] );
       ( "edge-cases",
         [
           Alcotest.test_case "zero" `Quick test_zero_behaviour;

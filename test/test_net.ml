@@ -116,7 +116,7 @@ let fresh_path =
     Printf.sprintf "%s/tre-test-%d-%d.sock" (Filename.get_temp_dir_name ())
       (Unix.getpid ()) !n
 
-let with_server ?(max_queue = 64) ?(ticks_origin = "utc") ?backend f =
+let with_server ?(max_queue = 64) ?(ticks_origin = "utc") ?udp_dest ?backend f =
   let timeline = Timeline.create ~origin:ticks_origin ~granularity:1.0 () in
   let path = fresh_path () in
   let cfg =
@@ -126,6 +126,7 @@ let with_server ?(max_queue = 64) ?(ticks_origin = "utc") ?backend f =
       shards = 1;
       max_queue_frames = max_queue;
       backend;
+      udp_dest;
     }
   in
   let rng = Hashing.Drbg.create ~seed:"test-net" ~personalization:"daemon" () in
@@ -236,6 +237,53 @@ let test_subscribe_tick_verify backend () =
       | fs -> Alcotest.failf "expected tick+update, got %d" (List.length fs));
       Alcotest.(check int) "watermark raised" 1 (Net_server.current_epoch srv);
       Unix.close c.fd)
+
+let test_udp_tick_fanout backend () =
+  (* The tick and the update frame leave as ONE datagram to [udp_dest];
+     the update in it is the epoch's one encoding, the bytes the archive
+     serves. *)
+  let udp = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close udp)
+    (fun () ->
+      Unix.bind udp (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      let port =
+        match Unix.getsockname udp with
+        | Unix.ADDR_INET (_, port) -> port
+        | Unix.ADDR_UNIX _ -> Alcotest.fail "UDP socket without a port"
+      in
+      with_server ~udp_dest:("127.0.0.1", port) ~backend (fun srv path timeline ->
+          Net_server.tick srv 1;
+          let readable, _, _ = Unix.select [ udp ] [] [] 2.0 in
+          if readable = [] then Alcotest.fail "no datagram within 2s";
+          let buf = Bytes.create 65536 in
+          let n, _ = Unix.recvfrom udp buf 0 (Bytes.length buf) [] in
+          let dec = Frame.Decoder.create () in
+          (match Frame.Decoder.feed dec buf 0 n with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "datagram framing: %s" e);
+          let tick, upd_bytes =
+            match (Frame.Decoder.pop dec, Frame.Decoder.pop dec, Frame.Decoder.pop dec) with
+            | Some t, Some u, None -> (t, u)
+            | _ -> Alcotest.fail "expected exactly tick + update frames"
+          in
+          Alcotest.(check int) "datagram holds whole frames" 0 (Frame.Decoder.buffered dec);
+          let label = Timeline.label timeline 1 in
+          (match Netmsg.tick_of_bytes prms tick with
+          | Ok tk -> Alcotest.(check string) "tick label" label tk.Netmsg.tick_label
+          | Error e -> Alcotest.failf "bad tick: %s" e);
+          (match Tre.update_of_bytes prms upd_bytes with
+          | Ok upd ->
+              Alcotest.(check string) "update label" label upd.Tre.update_time;
+              Alcotest.(check bool) "update verifies" true
+                (Tre.verify_update prms (Net_server.public srv) upd)
+          | Error e -> Alcotest.failf "bad update: %s" e);
+          let c = connect path in
+          send_all c.fd (Frame.encode (Netmsg.archive_query_to_bytes prms label));
+          (match read_frames c 1 with
+          | [ archived ] -> Alcotest.(check string) "datagram = archive bytes" archived upd_bytes
+          | fs -> Alcotest.failf "expected 1 archive reply, got %d" (List.length fs));
+          Unix.close c.fd))
 
 let test_encode_once_fanout backend () =
   with_server ~backend (fun srv path _ ->
@@ -616,6 +664,7 @@ let () =
           ("archive endpoint", test_archive_endpoint);
           ("back-pressure eviction", test_backpressure_evicts_slow_reader);
           ("fd exhaustion sheds, no spin", test_fd_exhaustion_sheds);
+          ("UDP tick fan-out", test_udp_tick_fanout);
         ]
     @ per_backend "attacks"
         [

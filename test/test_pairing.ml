@@ -365,24 +365,7 @@ let prop_prepared_random_points =
    y^2 = x^3 + 1 sets (toy64b: l = 3; mid128b: l in {3, 31, 93}) have no
    degenerate branch; their points pin the kernel's branch-for-branch
    mirror of the reference. *)
-let small_order_points prms ~tag =
-  let name = prms.Pairing.name in
-  let curve = prms.Pairing.curve in
-  let order = B.succ prms.Pairing.p in
-  List.concat_map
-    (fun l ->
-      if not (B.is_zero (B.erem prms.Pairing.cofactor (B.of_int l))) then []
-      else
-        List.filter_map
-          (fun i ->
-            let x =
-              Pairing.hash_to_g1_unclamped prms
-                (Printf.sprintf "%s-%s-%d-%d" tag name l i)
-            in
-            let pt = Curve.mul curve (B.div order (B.of_int l)) x in
-            if Curve.is_infinity pt then None else Some pt)
-          [ 1; 2; 3 ])
-    (List.init 99 (fun i -> (2 * i) + 3))
+let small_order_points prms ~tag = List.map snd (Small_order.odd_order prms ~tag)
 
 let check_kernel_vs_reference prms =
   let name = prms.Pairing.name in

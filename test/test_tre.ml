@@ -33,7 +33,9 @@ let test_encrypt_prevalidated_equivalent () =
    a GT power; both must reproduce the paper's formula byte for byte,
    U = r.G and K = e^(r.asG, H1(T)), here on the reference double-and-add
    and the reference pairing with r drawn from the same rng stream. The
-   Encryptor, which shares the one-shot formula, is pinned the same way. *)
+   Encryptor, which shares the one-shot formula, is pinned the same way,
+   and so are ID-TRE's one-shot sender and Encryptor, on the same server
+   key. *)
 let test_encrypt_is_paper_formula () =
   List.iter
     (fun name ->
@@ -66,6 +68,32 @@ let test_encrypt_is_paper_formula () =
           Alcotest.(check string) (what ^ ": Encryptor") paper
             (Tre.ciphertext_to_bytes prms
                (Tre.Encryptor.encrypt (Tre.Encryptor.create prms srv pk)
+                  ~release_time:t_release (fresh ()) msg));
+          (* ID-TRE's sender on the same server key: U = r.G and
+             K = e^(r.sG, H1(ID) + H1(T)). *)
+          let id = "bob@example.org" in
+          let id_paper =
+            let r = Pairing.random_scalar prms (fresh ()) in
+            let h1 s =
+              Curve.mul_double_add curve prms.Pairing.cofactor
+                (Pairing.hash_to_g1_unclamped prms s)
+            in
+            let k =
+              Pairing.pairing_ref prms
+                (Curve.mul_double_add curve r srv.Tre.Server.sg)
+                (Curve.add curve (h1 id) (h1 t_release))
+            in
+            Id_tre.ciphertext_to_bytes prms
+              { Id_tre.u = Curve.mul_double_add curve r srv.Tre.Server.g;
+                v = Hashing.Kdf.xor msg (Pairing.h2 prms k (String.length msg));
+                release_time = t_release }
+          in
+          Alcotest.(check string) (what ^ ": Id_tre.encrypt") id_paper
+            (Id_tre.ciphertext_to_bytes prms
+               (Id_tre.encrypt prms srv id ~release_time:t_release (fresh ()) msg));
+          Alcotest.(check string) (what ^ ": Id_tre.Encryptor") id_paper
+            (Id_tre.ciphertext_to_bytes prms
+               (Id_tre.Encryptor.encrypt (Id_tre.Encryptor.create prms srv) id
                   ~release_time:t_release (fresh ()) msg)))
         [ ("generator", None); ("custom generator", Some custom) ])
     Pairing.all_names
@@ -314,6 +342,68 @@ let prop_ciphertexts_randomized =
       let c2 = Tre.encrypt prms srv_pub alice_pub ~release_time:t_release rng msg in
       not (Curve.equal c1.Tre.u c2.Tre.u))
 
+(* Key updates, ID-TRE private keys, threshold partials and BLS
+   signatures are all BLS signatures, and each single-verification entry
+   point must reject one shifted off G1 by a point of small order. The
+   shift is on the curve and invisible to the pairing, so the verdict
+   rests on the membership test alone. *)
+let test_single_verifiers_reject_shifted () =
+  List.iter
+    (fun name ->
+      let prms = Option.get (Pairing.by_name name) in
+      let curve = prms.Pairing.curve in
+      let rng = Hashing.Drbg.create ~seed:("membership|" ^ name) () in
+      let id = "bob@example.org" in
+      let ssec, spub = Tre.Server.keygen prms rng in
+      let vrf = Tre.make_verifier prms spub in
+      let upd = Tre.issue_update prms ssec t_release in
+      let isec, ipub = Id_tre.Server.keygen prms rng in
+      let iupd = Id_tre.Server.issue_update prms isec t_release in
+      let system, shares = Threshold_server.setup prms rng ~k:2 ~n:3 in
+      let partial = Threshold_server.issue_partial prms (List.hd shares) t_release in
+      let bsec, bpub = Bls.keygen prms rng in
+      let bvrf = Bls.make_verifier prms bpub in
+      let sigma = Bls.sign prms bsec "message" in
+      let at u v = { u with Tre.update_value = v } in
+      let table =
+        [ ("Tre.verify_update", upd.Tre.update_value,
+           fun v -> Tre.verify_update prms spub (at upd v));
+          ("Tre.verify_update_with", upd.Tre.update_value,
+           fun v -> Tre.verify_update_with prms vrf (at upd v));
+          ("Tre.Verifier.verify_update", upd.Tre.update_value,
+           fun v -> Tre.Verifier.verify_update prms vrf (at upd v));
+          ("Id_tre.verify_update", iupd.Tre.update_value,
+           fun v -> Id_tre.verify_update prms ipub (at iupd v));
+          ("Id_tre.verify_private_key", Id_tre.Server.extract prms isec id,
+           fun v -> Id_tre.verify_private_key prms ipub id v);
+          ("Threshold_server.verify_partial", partial.Threshold_server.value,
+           fun v ->
+             Threshold_server.verify_partial prms system t_release
+               { partial with Threshold_server.value = v });
+          ("Bls.verify", sigma, fun v -> Bls.verify prms bpub "message" v);
+          ("Bls.verify_with", sigma, fun v -> Bls.verify_with prms bvrf "message" v) ]
+      in
+      let shifts = Small_order.shifts prms ~tag:"membership" in
+      List.iter
+        (fun (what, genuine, verify) ->
+          let what = Printf.sprintf "%s, %s" name what in
+          Alcotest.(check bool) (what ^ ": accepts the genuine object") true
+            (verify genuine);
+          List.iter
+            (fun (l, t) ->
+              let shifted = Curve.add curve genuine t in
+              let what = Printf.sprintf "%s, shifted off G1 (l = %d)" what l in
+              Alcotest.(check bool) (what ^ ": on the curve, outside G1") true
+                (Curve.on_curve curve shifted && not (Pairing.in_g1 prms shifted));
+              Alcotest.(check bool) (what ^ ": the pairing cannot see it") true
+                (Fp2.equal
+                   (Pairing.pairing prms prms.Pairing.g shifted)
+                   (Pairing.pairing prms prms.Pairing.g genuine));
+              Alcotest.(check bool) (what ^ ": rejected") false (verify shifted))
+            shifts)
+        table)
+    Pairing.all_names
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "tre"
@@ -333,6 +423,11 @@ let () =
           Alcotest.test_case "is BLS signature" `Quick test_update_is_bls_signature;
           Alcotest.test_case "identical for all" `Quick test_update_identical_for_all_users;
           Alcotest.test_case "forged rejected" `Quick test_forged_update_rejected;
+        ] );
+      ( "membership",
+        [
+          Alcotest.test_case "shifted objects rejected, all params" `Quick
+            test_single_verifiers_reject_shifted;
         ] );
       ( "time-lock",
         [
