@@ -22,6 +22,18 @@
    2k products of < 2^52 plus one carry, safe in 62 bits for any k up to
    ~500 — far beyond the 20 limbs of a 512-bit modulus.)
 
+   Two shapes of the reduced kernels, one per width. At 10 limbs (mid128,
+   mid128b, any 235- to 260-bit modulus) [mul_into], [sqr_into],
+   [add_into], [sub_into] and [neg_into] run the straight-line kernels
+   that gen/gen_straight.ml generates into [Limbs_straight] (the width
+   list is the generator's argument in this directory's dune file):
+   every operand limb in a local, each column one expression, no loop
+   counters, no u-digit store. Every other width runs the loops below:
+   20 limbs (std160), where the straight-line shape spills and its
+   measured gain is unresolved (DESIGN.md §1.1), and 4 limbs (toy64,
+   toy64b, the unit-test sets). Both shapes return the canonical
+   residue, so the choice never changes a value.
+
    Representation invariant: an [elt] is exactly [k] base-2^26 limbs,
    little-endian, holding the canonical Montgomery residue value*R mod m
    in [0, m), R = 2^(26k). Because every kernel fully reduces its result,
@@ -60,15 +72,17 @@ type ctx = {
   m2w : int array; (* m^2 as a wide (2k+2) buffer, for lazy reduction *)
   lazy_ok : bool; (* 4m <= R: unreduced sums of two residues fit k limbs
                      and every lazy-reduction input stays below m*R *)
+  straight : Limbs_straight.t option; (* generated kernels for this width *)
 }
 
 type elt = int array
 
 (* --- per-domain scratch ---
 
-   One grow-only record per domain: the wide (2k+2 limb) accumulator
-   shared by [mul_into] and [sqr_into], plus the four k-limb state
-   buffers of the binary-extgcd inversion ([inv_into]). [mul_into] never
+   One grow-only record per domain: the wide (2k+2 limb) buffer that
+   holds the Montgomery digits of the loop [mul_into] and [sqr_into],
+   plus the four k-limb state buffers of the binary-extgcd inversion
+   ([inv_into]). [mul_into] never
    calls [inv_into] or vice versa within one operation (the inversion's
    final Montgomery multiply runs after the extgcd state is dead), and
    the Fp2 lazy pipeline brings its own wide buffers, so the slots never
@@ -108,6 +122,9 @@ let wide_alloc ctx = Array.make ((2 * ctx.k) + 2) 0
 let limb_count ctx = ctx.k
 let modulus ctx = ctx.m
 let lazy_ok ctx = ctx.lazy_ok
+
+let lazy_products ctx =
+  match ctx.straight with Some _ -> false | None -> ctx.lazy_ok
 
 let copy_into ctx dst src = Array.blit src 0 dst 0 ctx.k
 
@@ -152,7 +169,7 @@ let cond_sub_in ctx dst extra =
   (* dst + extra*R >= m  <=>  extra = 1 or no borrow. *)
   masked_sub_in ctx dst (extra lor (1 - !bor))
 
-let add_into ctx dst a b =
+let add_loop ctx dst a b =
   let k = ctx.k in
   let carry = ref 0 in
   for i = 0 to k - 1 do
@@ -174,7 +191,7 @@ let add_nored_into ctx dst a b =
   done;
   assert (!carry = 0)
 
-let sub_into ctx dst a b =
+let sub_loop ctx dst a b =
   let k = ctx.k and m = ctx.ml in
   let bor = ref 0 in
   for i = 0 to k - 1 do
@@ -191,7 +208,7 @@ let sub_into ctx dst a b =
     carry := s lsr kb
   done
 
-let neg_into ctx dst a =
+let neg_loop ctx dst a =
   let k = ctx.k and m = ctx.ml in
   let orv = ref 0 in
   for i = 0 to k - 1 do
@@ -306,7 +323,7 @@ let redc_into ctx dst w =
    [dst] may alias [a] and/or [b]: dst.(c-k) is written at column c, and
    columns c' > c only read operand limbs with index > c-k.
    Allocation-free. *)
-let mul_into ctx dst a b =
+let mul_loop ctx dst a b =
   let k = ctx.k and m = ctx.ml in
   let m' = ctx.m0_inv_neg in
   let u = (scratch k).ws in
@@ -350,7 +367,7 @@ let mul_into ctx dst a b =
 (* Dedicated squaring, same fused column pass: each cross product is
    computed once and pre-doubled in the accumulator (the budget above
    absorbs the extra bit), diagonal squares land on even columns. *)
-let sqr_into ctx dst a =
+let sqr_loop ctx dst a =
   let k = ctx.k and m = ctx.ml in
   let m' = ctx.m0_inv_neg in
   let u = (scratch k).ws in
@@ -391,6 +408,36 @@ let sqr_into ctx dst a =
     bor := (d lsr 62) land 1
   done;
   masked_sub_in ctx dst (!acc lor (1 - !bor))
+
+(* --- the reduced kernels: one per width ---
+
+   A width that [Limbs_straight] was generated for runs its
+   straight-line kernels; every other width runs the loops above. *)
+
+let add_into ctx dst a b =
+  match ctx.straight with
+  | Some s -> s.add ctx.ml dst a b
+  | None -> add_loop ctx dst a b
+
+let sub_into ctx dst a b =
+  match ctx.straight with
+  | Some s -> s.sub ctx.ml dst a b
+  | None -> sub_loop ctx dst a b
+
+let neg_into ctx dst a =
+  match ctx.straight with
+  | Some s -> s.neg ctx.ml dst a
+  | None -> neg_loop ctx dst a
+
+let mul_into ctx dst a b =
+  match ctx.straight with
+  | Some s -> s.mul ctx.ml ctx.m0_inv_neg dst a b
+  | None -> mul_loop ctx dst a b
+
+let sqr_into ctx dst a =
+  match ctx.straight with
+  | Some s -> s.sqr ctx.ml ctx.m0_inv_neg dst a
+  | None -> sqr_loop ctx dst a
 
 (* Wide (2k-limb, canonical) product of two k-limb operands into [w];
    the two extra top limbs end up zero so callers can accumulate. *)
@@ -706,6 +753,7 @@ let create m =
       r3 = Array.make k 0;
       m2w;
       lazy_ok;
+      straight = Limbs_straight.for_width k;
     }
   in
   (* R^3 = mont_mul(R^2, R^2); needs the rest of the context first. *)

@@ -9,7 +9,9 @@
     ({!Domain.DLS}), so concurrent use from a [Pool] of domains is
     race-free, and the inner loops perform no allocation, no [Array.sub],
     no normalization, and no data-dependent branches (conditional
-    subtraction is mask-selected).
+    subtraction is mask-selected). At 10 limbs the reduced kernels are
+    generated straight-line code ([Limbs_straight]); every other width
+    runs loops. Both return the canonical residue.
 
     Canonical representatives make bit-identity to the generic
     {!Modarith.Mont} reference a complete correctness contract: the
@@ -41,6 +43,12 @@ val lazy_ok : ctx -> bool
     ({!add_nored_into}, the wide pipeline). Holds for every named
     parameter set; fails only for moduli within two bits of filling their
     top limb, for which callers must keep to the reduced kernels. *)
+
+val lazy_products : ctx -> bool
+(** Whether GF(p^2) products should run the unreduced pipeline below:
+    {!lazy_ok} at a width that runs the loop kernels. At a width with
+    straight-line kernels, or without the headroom, they run reduced
+    Karatsuba on {!mul_into}/{!add_into}/{!sub_into} instead. *)
 
 (** {1 Buffers} *)
 

@@ -1,16 +1,26 @@
 (* GF(p^2) = GF(p)[i]/(i^2 + 1) on the fixed-limb kernels.
 
    Multiplication and squaring run a Karatsuba-style 3-product /
-   2-product schedule with LAZY REDUCTION: the cross terms are
-   accumulated as full double-width integers and each output coefficient
-   pays exactly one Montgomery reduction, instead of one reduction per
-   base-field multiplication. The identities need headroom — unreduced
-   sums of two residues in k limbs, differences kept non-negative by a
-   +p^2 offset, every reduction input below p*R — which
-   [Limbs.lazy_ok] guarantees (4p <= R; true for every named parameter
-   set). Contexts without the headroom fall back to the plain reduced
-   formulas; both paths yield canonical coefficients, hence bit-identical
-   results.
+   2-product schedule on one of two paths, picked by
+   [Limbs.lazy_products]. Both yield canonical coefficients, hence
+   bit-identical results.
+
+   REDUCED, in place, at a width with straight-line kernels (10 limbs:
+   mid128, mid128b) and wherever the modulus leaves no lazy headroom:
+     mul: re = ac - bd, im = (a + b)(c + d) - ac - bd   (3 mul + 5 add/sub)
+     sqr: re = (a + b)(a - b), im = 2ab                 (2 mul + 3 add/sub)
+   every intermediate a canonical residue. The straight-line kernels
+   fuse each reduction into its product, and three of them beat the
+   wide pipeline's loop passes; on the 20-limb loops reduced Karatsuba
+   measured no faster than the lazy pipeline (DESIGN.md §1.1).
+
+   LAZY REDUCTION at the other widths with headroom (std160's 20 limbs,
+   toy64's 4): the cross terms are accumulated as full double-width
+   integers and each output coefficient pays exactly one Montgomery
+   reduction, instead of one per base-field multiplication. The
+   identities need headroom — unreduced sums of two residues in k limbs,
+   differences kept non-negative by a +p^2 offset, every reduction input
+   below p*R — which [Limbs.lazy_ok] guarantees (4p <= R).
 
    For mul, with w0 = re_a*re_b, w1 = im_a*im_b (wide, < p^2) and
    w2 = (re_a + im_a)(re_b + im_b) taken over UNREDUCED sums (< 4p^2):
@@ -34,13 +44,15 @@ let add ctx a b = { re = Fp.add ctx a.re b.re; im = Fp.add ctx a.im b.im }
 let sub ctx a b = { re = Fp.sub ctx a.re b.re; im = Fp.sub ctx a.im b.im }
 let neg ctx a = { re = Fp.neg ctx a.re; im = Fp.neg ctx a.im }
 
-(* Per-domain scratch for the lazy pipeline: two unreduced-sum buffers
-   and three wide accumulators, grown on demand and bounded by the
+(* Per-domain scratch: three k-limb buffers (the reduced products'
+   intermediates, the lazy pipeline's unreduced sums) and three wide
+   accumulators (the lazy pipeline), grown on demand and bounded by the
    current context's limb count. Disjoint from the {!Limbs} internal
    scratch, so the kernels called here never clobber it. *)
 type scratch = {
   mutable s1 : int array;
   mutable s2 : int array;
+  mutable s3 : int array;
   mutable w0 : int array;
   mutable w1 : int array;
   mutable w2 : int array;
@@ -48,14 +60,15 @@ type scratch = {
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      { s1 = [||]; s2 = [||]; w0 = [||]; w1 = [||]; w2 = [||] })
+      { s1 = [||]; s2 = [||]; s3 = [||]; w0 = [||]; w1 = [||]; w2 = [||] })
 
 let scratch kern =
   let k = Limbs.limb_count kern in
   let s = Domain.DLS.get scratch_key in
   if Array.length s.s1 < k then begin
     s.s1 <- Array.make k 0;
-    s.s2 <- Array.make k 0
+    s.s2 <- Array.make k 0;
+    s.s3 <- Array.make k 0
   end;
   if Array.length s.w0 < (2 * k) + 2 then begin
     s.w0 <- Array.make ((2 * k) + 2) 0;
@@ -64,25 +77,32 @@ let scratch kern =
   end;
   s
 
-(* Reduced-formula reference paths (also the fallback when the modulus
-   leaves no lazy-reduction headroom). *)
-let mul_plain ctx a b =
-  let t0 = Fp.mul ctx a.re b.re in
-  let t1 = Fp.mul ctx a.im b.im in
-  let t2 = Fp.mul ctx (Fp.add ctx a.re a.im) (Fp.add ctx b.re b.im) in
-  { re = Fp.sub ctx t0 t1; im = Fp.sub ctx (Fp.sub ctx t2 t0) t1 }
+(* Both product paths write into caller buffers [dre]/[dim], which may
+   alias the coefficient buffers of [a] and [b]: every read of [a] and
+   [b] happens before either destination is written. *)
 
-let sqr_plain ctx a =
-  let re = Fp.mul ctx (Fp.add ctx a.re a.im) (Fp.sub ctx a.re a.im) in
-  let ab = Fp.mul ctx a.re a.im in
-  { re; im = Fp.add ctx ab ab }
+(* Reduced Karatsuba: every intermediate canonical, so it needs no
+   headroom. mul is 3 mul + 5 add/sub, sqr 2 mul + 3 add/sub. *)
+let mul_reduced_into kern s dre dim a b =
+  Limbs.add_into kern s.s1 a.re a.im;
+  Limbs.add_into kern s.s2 b.re b.im;
+  Limbs.mul_into kern s.s1 s.s1 s.s2;
+  Limbs.mul_into kern s.s2 a.im b.im;
+  Limbs.mul_into kern s.s3 a.re b.re;
+  Limbs.sub_into kern dre s.s3 s.s2;
+  Limbs.sub_into kern dim s.s1 s.s3;
+  Limbs.sub_into kern dim dim s.s2
 
-(* Lazy-reduction product into caller buffers; [dre]/[dim] may alias the
-   coefficient buffers of [a] and [b] (all reads happen in the wide
-   phase, before either destination is written). *)
-let mul_lazy_into ctx dre dim a b =
-  let kern = Fp.kernel ctx in
-  let s = scratch kern in
+let sqr_reduced_into kern s dre dim a =
+  Limbs.add_into kern s.s1 a.re a.im;
+  Limbs.sub_into kern s.s2 a.re a.im;
+  Limbs.mul_into kern s.s3 a.re a.im;
+  Limbs.mul_into kern dre s.s1 s.s2;
+  Limbs.add_into kern dim s.s3 s.s3
+
+(* Lazy reduction: the wide products are combined before the two
+   Montgomery reductions. *)
+let mul_lazy_into kern s dre dim a b =
   Limbs.add_nored_into kern s.s1 a.re a.im;
   Limbs.add_nored_into kern s.s2 b.re b.im;
   Limbs.mul_wide_into kern s.w0 a.re b.re;
@@ -95,9 +115,7 @@ let mul_lazy_into ctx dre dim a b =
   Limbs.wide_sub_into kern s.w0 s.w0 s.w1;
   Limbs.redc_into kern dre s.w0
 
-let sqr_lazy_into ctx dre dim a =
-  let kern = Fp.kernel ctx in
-  let s = scratch kern in
+let sqr_lazy_into kern s dre dim a =
   (* u = re + (p - im), v = re + im; both < 2p, unreduced. *)
   Limbs.neg_into kern s.s1 a.im;
   Limbs.add_nored_into kern s.s1 a.re s.s1;
@@ -108,23 +126,29 @@ let sqr_lazy_into ctx dre dim a =
   Limbs.wide_double_into kern s.w1;
   Limbs.redc_into kern dim s.w1
 
+let mul_into ctx dre dim a b =
+  let kern = Fp.kernel ctx in
+  let s = scratch kern in
+  if Limbs.lazy_products kern then mul_lazy_into kern s dre dim a b
+  else mul_reduced_into kern s dre dim a b
+
+let sqr_into ctx dre dim a =
+  let kern = Fp.kernel ctx in
+  let s = scratch kern in
+  if Limbs.lazy_products kern then sqr_lazy_into kern s dre dim a
+  else sqr_reduced_into kern s dre dim a
+
 let mul ctx a b =
   let kern = Fp.kernel ctx in
-  if Limbs.lazy_ok kern then begin
-    let dre = Limbs.alloc kern and dim = Limbs.alloc kern in
-    mul_lazy_into ctx dre dim a b;
-    { re = dre; im = dim }
-  end
-  else mul_plain ctx a b
+  let dre = Limbs.alloc kern and dim = Limbs.alloc kern in
+  mul_into ctx dre dim a b;
+  { re = dre; im = dim }
 
 let sqr ctx a =
   let kern = Fp.kernel ctx in
-  if Limbs.lazy_ok kern then begin
-    let dre = Limbs.alloc kern and dim = Limbs.alloc kern in
-    sqr_lazy_into ctx dre dim a;
-    { re = dre; im = dim }
-  end
-  else sqr_plain ctx a
+  let dre = Limbs.alloc kern and dim = Limbs.alloc kern in
+  sqr_into ctx dre dim a;
+  { re = dre; im = dim }
 
 let mul_fp ctx s a = { re = Fp.mul ctx s a.re; im = Fp.mul ctx s a.im }
 let conj ctx a = { a with im = Fp.neg ctx a.im }
@@ -150,13 +174,8 @@ module Mut = struct
     Fp.Mut.set_one ctx dst.re;
     Fp.Mut.set_zero ctx dst.im
 
-  let mul_into ctx dst a b =
-    if Limbs.lazy_ok (Fp.kernel ctx) then mul_lazy_into ctx dst.re dst.im a b
-    else set ctx dst (mul_plain ctx a b)
-
-  let sqr_into ctx dst a =
-    if Limbs.lazy_ok (Fp.kernel ctx) then sqr_lazy_into ctx dst.re dst.im a
-    else set ctx dst (sqr_plain ctx a)
+  let mul_into ctx dst a b = mul_into ctx dst.re dst.im a b
+  let sqr_into ctx dst a = sqr_into ctx dst.re dst.im a
 
   (* Allocation-free inversion through the limb-form extended-GCD
      kernel: n = re^2 + im^2 in scratch, one [Limbs.inv_into], two

@@ -39,11 +39,8 @@ let seal prms ~mul_u base ~release_time rng msg =
   { u = mul_u r; v = Hashing.Kdf.xor msg (Pairing.h2 prms k (String.length msg)); release_time }
 
 let encrypt prms (srv : Server.public) id ~release_time rng msg =
-  let mul_u =
-    if Curve.equal srv.Server.g prms.Pairing.g then Pairing.mul_g prms
-    else fun r -> Curve.mul prms.Pairing.curve r srv.Server.g
-  in
-  seal prms ~mul_u
+  seal prms
+    ~mul_u:(Tre.mul_generator prms srv ~reuse:false)
     (Pairing.pairing prms srv.Server.sg (encryption_point prms ~id ~release_time))
     ~release_time rng msg
 
@@ -55,7 +52,7 @@ let encrypt prms (srv : Server.public) id ~release_time rng msg =
 module Encryptor = struct
   type t = {
     prms : Pairing.params;
-    g_table : Curve.Table.t;
+    mul_u : Bigint.t -> Curve.point;
     sg_prep : Pairing.prepared;
     cache : (identity * time, Fp2.t) Hashtbl.t;
   }
@@ -63,10 +60,7 @@ module Encryptor = struct
   let create prms (srv : Server.public) =
     {
       prms;
-      g_table =
-        Curve.Table.create prms.Pairing.curve
-          ~bits:(Bigint.bit_length prms.Pairing.q)
-          srv.Server.g;
+      mul_u = Tre.mul_generator prms srv ~reuse:true;
       sg_prep = Pairing.prepare prms srv.Server.sg;
       cache = Hashtbl.create 8;
     }
@@ -83,7 +77,7 @@ module Encryptor = struct
         k
 
   let encrypt enc id ~release_time rng msg =
-    seal enc.prms ~mul_u:(Curve.Table.mul enc.g_table)
+    seal enc.prms ~mul_u:enc.mul_u
       (session_base enc ~id ~release_time) ~release_time rng msg
 end
 

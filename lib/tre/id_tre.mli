@@ -56,7 +56,8 @@ val encrypt :
     generator; the bytes are those of K = e^(r sG, K_E). *)
 
 (** Stateful sender context: prepares sG once, serves U = rG from a
-    fixed-base table and caches e^(sG, H1(ID) + H1(T)) per recipient and
+    fixed-base table ({!Tre.mul_generator}: the parameter set's own when
+    G is its generator) and caches e^(sG, H1(ID) + H1(T)) per recipient and
     release time, so repeated encryptions need no pairing (one GT
     exponentiation instead). Bit-identical to {!encrypt} on the same rng
     stream. *)

@@ -120,21 +120,26 @@ let seal prms ~mul_u release_key ~release_time rng msg =
   let k = Pairing.gt_pow prms release_key r in
   { u; v = Hashing.Kdf.xor msg (Pairing.h2 prms k (String.length msg)); release_time }
 
-(* When G is the parameter set's generator, rG runs on its fixed-base
-   table: the routing {!Pairing.prepare} does for pairings. *)
-let is_system_generator prms (srv : Server.public) =
-  Curve.equal srv.Server.g prms.Pairing.g
+(* U = rG for the server's G. When G is the parameter set's generator,
+   rG runs on its fixed-base table: the routing {!Pairing.prepare} does
+   for pairings. A custom G runs the ladder, or, for a sender context
+   that [reuse]s it, a fixed-base table of its own. *)
+let mul_generator prms (srv : Server.public) ~reuse =
+  if Curve.equal srv.Server.g prms.Pairing.g then Pairing.mul_g prms
+  else if reuse then
+    Curve.Table.mul
+      (Curve.Table.create prms.Pairing.curve
+         ~bits:(Bigint.bit_length prms.Pairing.q)
+         srv.Server.g)
+  else fun r -> Curve.mul prms.Pairing.curve r srv.Server.g
 
 let release_key_of prms (pk : User.public) t =
   Pairing.pairing prms pk.User.asg (Pairing.hash_to_g1 prms t)
 
 let encrypt_prevalidated prms (srv : Server.public) (pk : User.public) ~release_time rng
     msg =
-  let mul_u =
-    if is_system_generator prms srv then Pairing.mul_g prms
-    else fun r -> Curve.mul prms.Pairing.curve r srv.Server.g
-  in
-  seal prms ~mul_u (release_key_of prms pk release_time) ~release_time rng msg
+  seal prms ~mul_u:(mul_generator prms srv ~reuse:false)
+    (release_key_of prms pk release_time) ~release_time rng msg
 
 let encrypt prms srv pk ~release_time rng msg =
   if not (validate_receiver_key prms srv pk) then raise Invalid_receiver_key;
@@ -157,15 +162,7 @@ module Encryptor = struct
 
   let create prms (srv : Server.public) (pk : User.public) =
     if not (validate_receiver_key prms srv pk) then raise Invalid_receiver_key;
-    let mul_u =
-      if is_system_generator prms srv then Pairing.mul_g prms
-      else
-        Curve.Table.mul
-          (Curve.Table.create prms.Pairing.curve
-             ~bits:(Bigint.bit_length prms.Pairing.q)
-             srv.Server.g)
-    in
-    { prms; pk; mul_u; cache = Hashtbl.create 8 }
+    { prms; pk; mul_u = mul_generator prms srv ~reuse:true; cache = Hashtbl.create 8 }
 
   let release_key enc release_time =
     match Hashtbl.find_opt enc.cache release_time with

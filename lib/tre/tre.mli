@@ -188,6 +188,13 @@ val encrypt_prevalidated :
     malformed key silently loses the time-lock guarantee, so only skip the
     check for keys you checked before. *)
 
+val mul_generator :
+  Pairing.params -> Server.public -> reuse:bool -> Bigint.t -> Curve.point
+(** [mul_generator prms srv ~reuse] is r -> rG for the server's G, the
+    sender's U: {!Pairing.mul_g} when G is the parameter set's generator;
+    otherwise a fixed-base table built here when [reuse] (a sender
+    context), or the ladder per call. *)
+
 (** A stateful sender context for one receiver. Construction validates the
     receiver key once (and builds a fixed-base table for a custom server
     generator); {!Encryptor.encrypt} then caches the pairing per release

@@ -45,9 +45,16 @@ let moduli =
   let maximal =
     List.map
       (fun k -> B.sub (B.shift_left B.one (26 * k)) (B.of_int 61))
-      [ 1; 3; 5; 9; 20 ]
+      [ 1; 3; 5; 9; 10; 20 ]
   in
-  named @ [ p256 ] @ random_odds @ maximal
+  (* The narrowest 10-limb modulus (235 bits, one bit in the top limb):
+     with 2^260 - 61 above, both ends of the straight-line width. The
+     low limbs are 3^150 mod 2^234, an odd value with no pattern. *)
+  let narrow10 =
+    let top = B.shift_left B.one 234 in
+    B.add top (B.erem (B.pow (B.of_int 3) 150) top)
+  in
+  named @ [ p256 ] @ random_odds @ maximal @ [ narrow10 ]
 
 let edge_values m =
   [ B.zero; B.one; B.of_int 2; B.pred m; B.sub m (B.of_int 2);
@@ -78,6 +85,12 @@ let check_modulus m =
       Limbs.neg_into kc d a;
       Alcotest.check bi (name "neg") (Mont.to_bigint mc (Mont.neg mc am))
         (Limbs.to_bigint kc d);
+      (* neg with dst aliasing the operand. *)
+      let a' = Limbs.of_bigint kc v in
+      Limbs.neg_into kc a' a';
+      Alcotest.check bi (name "neg-aliased")
+        (Mont.to_bigint mc (Mont.neg mc am))
+        (Limbs.to_bigint kc a');
       Limbs.sqr_into kc d a;
       Alcotest.check bi (name "sqr") (Mont.to_bigint mc (Mont.sqr mc am))
         (Limbs.to_bigint kc d);
@@ -116,6 +129,24 @@ let check_modulus m =
       Alcotest.check bi (name "mul-aliased")
         (Mont.to_bigint mc (Mont.mul mc am bm))
         (Limbs.to_bigint kc a');
+      (* add and sub with dst aliasing a, b, and both operand slots. *)
+      List.iter
+        (fun (op, kernel, reference) ->
+          let expect = Mont.to_bigint mc (reference am bm) in
+          let a' = Limbs.of_bigint kc x in
+          kernel kc a' a' b;
+          Alcotest.check bi (name (op ^ "-aliased-a")) expect
+            (Limbs.to_bigint kc a');
+          let b' = Limbs.of_bigint kc y in
+          kernel kc b' a b';
+          Alcotest.check bi (name (op ^ "-aliased-b")) expect
+            (Limbs.to_bigint kc b');
+          let c' = Limbs.of_bigint kc x in
+          kernel kc c' c' c';
+          Alcotest.check bi (name (op ^ "-aliased-ab"))
+            (Mont.to_bigint mc (reference am am))
+            (Limbs.to_bigint kc c'))
+        [ ("add", Limbs.add_into, Mont.add mc); ("sub", Limbs.sub_into, Mont.sub mc) ];
       (* Wide pipeline, gated exactly like the Fp2 lazy-reduction user. *)
       if Limbs.lazy_ok kc then begin
         let w = Limbs.wide_alloc kc in
