@@ -135,6 +135,32 @@ let wnaf k w =
   done;
   Array.sub digits 0 (!top + 1)
 
+(* Left-to-right scan: each window [l, i] starts at a set bit i and ends
+   at the lowest set bit l within w bits of it, so its value is odd; the
+   squarings before it are the zeros skipped since the previous window
+   plus its own length. *)
+let sliding_windows e =
+  if e.sign <= 0 then invalid_arg "Bigint.sliding_windows";
+  let n = bit_length e in
+  let w = if n <= 8 then 1 else if n <= 96 then 3 else if n <= 320 then 4 else 5 in
+  let rec scan i zeros acc =
+    if i < 0 then List.rev (if zeros > 0 then (zeros, 0) :: acc else acc)
+    else if not (test_bit e i) then scan (i - 1) (zeros + 1) acc
+    else begin
+      let l = ref (Stdlib.max 0 (i - w + 1)) in
+      while not (test_bit e !l) do
+        incr l
+      done;
+      let d = ref 0 in
+      for j = i downto !l do
+        d := (!d lsl 1) lor (if test_bit e j then 1 else 0)
+      done;
+      let s = if acc = [] then 0 else zeros + i - !l + 1 in
+      scan (!l - 1) 0 ((s, !d) :: acc)
+    end
+  in
+  (w, scan (n - 1) 0 [])
+
 (* Decimal via 9-digit (10^9 < 2^31) chunks. *)
 let chunk = 1_000_000_000
 

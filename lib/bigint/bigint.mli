@@ -75,6 +75,17 @@ val wnaf : t -> int -> int array
     the canonical recoding, so there is exactly one such array.
     Raises [Invalid_argument] if [k < 0] or [w < 2]. *)
 
+val sliding_windows : t -> int * (int * int) list
+(** [sliding_windows e], for [e > 0]: the window width [w] and the
+    left-to-right sliding-window schedule of [e] as pairs [(s, d)] —
+    square [s] times, then multiply by [base^d]. The first pair has
+    [s = 0] and seeds the accumulator with [base^d]; every [d] is odd and
+    below [2^w], except a final [d = 0] that marks trailing zero bits. So
+    an exponentiation needs the odd powers [base^1 .. base^(2^w - 1)]
+    and one multiplication per pair after the first. [w] is 1 (plain
+    square-and-multiply) below 9 bits, 3 up to 96, 4 up to 320 and 5
+    above. Raises [Invalid_argument] if [e <= 0]. *)
+
 (** {1 Conversions} *)
 
 val of_string : string -> t

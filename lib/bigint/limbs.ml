@@ -13,13 +13,14 @@
    The limb base is 2^26, not {!Nat}'s 2^31, and that choice is the
    performance core of the module: 26-bit limbs make every partial
    product fit in 52 bits, so a 62-bit native int can accumulate hundreds
-   of them before overflowing. Multiplication and Montgomery reduction
-   therefore run *product scanning with delayed carries*: the inner loops
-   are pure multiply-accumulate with no carry extraction, which breaks
-   the loop-carried add->mask->shift dependency chain that serializes a
-   word-by-word CIOS at base 2^31. Carries are propagated in one cheap
-   linear pass at the end. (Bound: each wide position accumulates at most
-   2k products of < 2^52 plus one carry, safe in 62 bits for any k up to
+   of them before overflowing. Multiplication and squaring therefore run
+   *fused product scanning*: one left-to-right pass over the 2k columns
+   sums each column's operand products and Montgomery-digit products as
+   pure multiply-accumulate, with no carry extraction inside a column,
+   and shifts only the column's carry into the next. That breaks the
+   loop-carried add->mask->shift dependency chain that serializes a
+   word-by-word CIOS at base 2^31. (Bound: a column sums at most 2k
+   products of < 2^52 plus one carry, safe in 62 bits for any k up to
    ~500 — far beyond the 20 limbs of a 512-bit modulus.)
 
    Two shapes of the reduced kernels, one per width. At 10 limbs (mid128,
@@ -43,15 +44,16 @@
 
    Conditional subtractions are branchless: borrows are extracted from
    the sign bit of the 63-bit native int ([(d lsr 62) land 1]) and the
-   subtrahend is selected with a full-width mask, so the reduced-kernel
-   limb loops have no data-dependent branches.
+   subtrahend is selected with a full-width mask, so no reduced kernel
+   branches on its operands at any width (the inversion and the
+   exponent-driven window walk of [pow_into] do).
 
    The limb loops use unchecked array accesses ([Array.unsafe_get]/
    [unsafe_set] — declared [external] so they inline on a non-flambda
-   compiler): every index is bounded by [ctx.k] (or the wide size [2k+2])
-   and every buffer is at least that long by the [elt] invariant and the
-   scratch-growth rule, so the checks are provably dead — but the
-   compiler cannot see that, and they cost ~30% of the inner loops. *)
+   compiler): every index is bounded by [ctx.k] and every buffer is at
+   least that long by the [elt] invariant and the scratch-growth rule, so
+   the checks are provably dead — but the compiler cannot see that, and
+   they cost ~30% of the inner loops. *)
 
 external ( .!() ) : int array -> int -> int = "%array_unsafe_get"
 external ( .!()<- ) : int array -> int -> int -> unit = "%array_unsafe_set"
@@ -69,9 +71,6 @@ type ctx = {
   one_m : int array; (* R mod m — the Montgomery one, k limbs *)
   r2 : int array; (* R^2 mod m, k limbs *)
   r3 : int array; (* R^3 mod m, k limbs: single-conversion inversion *)
-  m2w : int array; (* m^2 as a wide (2k+2) buffer, for lazy reduction *)
-  lazy_ok : bool; (* 4m <= R: unreduced sums of two residues fit k limbs
-                     and every lazy-reduction input stays below m*R *)
   straight : Limbs_straight.t option; (* generated kernels for this width *)
 }
 
@@ -79,15 +78,14 @@ type elt = int array
 
 (* --- per-domain scratch ---
 
-   One grow-only record per domain: the wide (2k+2 limb) buffer that
-   holds the Montgomery digits of the loop [mul_into] and [sqr_into],
-   plus the four k-limb state buffers of the binary-extgcd inversion
-   ([inv_into]). [mul_into] never
-   calls [inv_into] or vice versa within one operation (the inversion's
-   final Montgomery multiply runs after the extgcd state is dead), and
-   the Fp2 lazy pipeline brings its own wide buffers, so the slots never
-   conflict. Loops are bounded by [ctx.k], never by the array length, so
-   a scratch grown for a large context serves smaller ones unchanged. *)
+   One grow-only record per domain: the k-limb buffer that holds the
+   Montgomery digits of the loop [mul_into] and [sqr_into], plus the four
+   k-limb state buffers of the binary-extgcd inversion ([inv_into]).
+   [mul_into] never calls [inv_into] or vice versa within one operation
+   (the inversion's final Montgomery multiply runs after the extgcd state
+   is dead), so the slots never conflict. Loops are bounded by [ctx.k],
+   never by the array length, so a scratch grown for a large context
+   serves smaller ones unchanged. *)
 type scratch = {
   mutable ws : int array;
   mutable gu : int array; (* extgcd: |value| operand *)
@@ -102,7 +100,7 @@ let scratch_key =
 
 let scratch k =
   let s = Domain.DLS.get scratch_key in
-  if Array.length s.ws < (2 * k) + 2 then s.ws <- Array.make ((2 * k) + 2) 0;
+  if Array.length s.ws < k then s.ws <- Array.make k 0;
   s
 
 let inv_scratch k =
@@ -118,13 +116,8 @@ let inv_scratch k =
 (* --- raw helpers over caller-sized buffers --- *)
 
 let alloc ctx = Array.make ctx.k 0
-let wide_alloc ctx = Array.make ((2 * ctx.k) + 2) 0
 let limb_count ctx = ctx.k
 let modulus ctx = ctx.m
-let lazy_ok ctx = ctx.lazy_ok
-
-let lazy_products ctx =
-  match ctx.straight with Some _ -> false | None -> ctx.lazy_ok
 
 let copy_into ctx dst src = Array.blit src 0 dst 0 ctx.k
 
@@ -179,18 +172,6 @@ let add_loop ctx dst a b =
   done;
   cond_sub_in ctx dst !carry
 
-(* Plain limb addition with no reduction: requires [ctx.lazy_ok] (so that
-   a + b < 2m < R fits in k limbs). Feeds the Fp2 lazy-reduction path. *)
-let add_nored_into ctx dst a b =
-  let k = ctx.k in
-  let carry = ref 0 in
-  for i = 0 to k - 1 do
-    let s = a.!(i) + b.!(i) + !carry in
-    dst.!(i) <- s land kmask;
-    carry := s lsr kb
-  done;
-  assert (!carry = 0)
-
 let sub_loop ctx dst a b =
   let k = ctx.k and m = ctx.ml in
   let bor = ref 0 in
@@ -223,92 +204,6 @@ let neg_loop ctx dst a =
     bor := (d lsr 62) land 1;
     dst.!(i) <- d land kmask land mask
   done
-
-(* --- the delayed-carry wide pipeline ---
-
-   [accum_product_raw] and [accum_square_raw] leave the wide buffer
-   *unpropagated*: position i+j holds a sum of up to k raw products
-   (< 2k * 2^52, fine in 62 bits). [redc_into] accepts such buffers —
-   it only ever needs the value of a position mod 2^26 after all lower
-   positions' carries have been folded in, which its own left-to-right
-   pass guarantees. The public wide entry points propagate before
-   returning so that the Fp2 lazy pipeline's limb-wise add/sub/double
-   operate on canonical 26-bit limbs. *)
-
-(* w <- a*b, carries delayed. Writes w.(0 .. 2k-1); the caller zeroes
-   the two top limbs. Row 0 initializes by plain store, so no zero-fill
-   pass over the product range is needed. *)
-let accum_product_raw k w a b =
-  let a0 = a.!(0) in
-  for j = 0 to k - 1 do
-    w.!(j) <- a0 * b.!(j)
-  done;
-  w.!(k) <- 0;
-  for i = 1 to k - 1 do
-    let ai = a.!(i) in
-    w.!(i + k) <- 0;
-    if ai <> 0 then
-      for j = 0 to k - 1 do
-        w.!(i + j) <- w.!(i + j) + (ai * b.!(j))
-      done
-  done
-
-(* w <- a^2, carries delayed: each cross product computed once and
-   pre-doubled in the 62-bit accumulator (2 * 2^52 * k stays far under
-   the overflow budget), diagonal squares added on top. Writes
-   w.(0 .. 2k-1); the caller zeroes the two top limbs. *)
-let accum_square_raw k w a =
-  for i = 0 to (2 * k) - 1 do
-    w.!(i) <- 0
-  done;
-  for i = 0 to k - 2 do
-    let ai = a.!(i) in
-    if ai <> 0 then
-      for j = i + 1 to k - 1 do
-        w.!(i + j) <- w.!(i + j) + ((ai * a.!(j)) lsl 1)
-      done
-  done;
-  for i = 0 to k - 1 do
-    let ai = a.!(i) in
-    w.!(2 * i) <- w.!(2 * i) + (ai * ai)
-  done
-
-(* One linear pass: fold delayed carries into canonical 26-bit limbs. *)
-let propagate_wide k w =
-  let c = ref 0 in
-  for i = 0 to (2 * k) + 1 do
-    let v = w.!(i) + !c in
-    w.!(i) <- v land kmask;
-    c := v lsr kb
-  done;
-  assert (!c = 0)
-
-(* Montgomery reduction of a wide value: dst <- w * R^{-1} mod m,
-   canonical. Requires value(w) < m*R (callers guarantee this via
-   [lazy_ok] or via w = a*b with a, b < m); accepts both canonical and
-   delayed-carry buffers; destroys [w]. *)
-let redc_into ctx dst w =
-  let k = ctx.k and m = ctx.ml in
-  let m' = ctx.m0_inv_neg in
-  for i = 0 to k - 1 do
-    (* w.(i)'s low 26 bits are exact: lower positions' carries were
-       folded in by the previous iterations' shift-down step. *)
-    let u = (w.!(i) land kmask) * m' land kmask in
-    if u <> 0 then
-      for j = 0 to k - 1 do
-        w.!(i + j) <- w.!(i + j) + (u * m.!(j))
-      done;
-    (* w.(i) is now 0 mod 2^26; push its carry up before it is needed. *)
-    w.!(i + 1) <- w.!(i + 1) + (w.!(i) lsr kb)
-  done;
-  let c = ref 0 in
-  for i = 0 to k - 1 do
-    let v = w.!(i + k) + !c in
-    dst.!(i) <- v land kmask;
-    c := v lsr kb
-  done;
-  (* value(w)/R < 2m <= 2R, so the overflow beyond k limbs is one bit. *)
-  cond_sub_in ctx dst (w.!(2 * k) + !c)
 
 (* Montgomery multiplication: dst <- a*b*R^{-1} mod m, canonical.
 
@@ -439,57 +334,6 @@ let sqr_into ctx dst a =
   | Some s -> s.sqr ctx.ml ctx.m0_inv_neg dst a
   | None -> sqr_loop ctx dst a
 
-(* Wide (2k-limb, canonical) product of two k-limb operands into [w];
-   the two extra top limbs end up zero so callers can accumulate. *)
-let mul_wide_into ctx w a b =
-  let k = ctx.k in
-  w.(2 * k) <- 0;
-  w.((2 * k) + 1) <- 0;
-  accum_product_raw k w a b;
-  propagate_wide k w
-
-let sqr_wide_into ctx w a =
-  let k = ctx.k in
-  w.(2 * k) <- 0;
-  w.((2 * k) + 1) <- 0;
-  accum_square_raw k w a;
-  propagate_wide k w
-
-(* w <- wa - wb over 2k+1 wide limbs; requires wa >= wb. *)
-let wide_sub_into ctx w wa wb =
-  let n = (2 * ctx.k) + 1 in
-  let bor = ref 0 in
-  for i = 0 to n - 1 do
-    let d = wa.!(i) - wb.!(i) - !bor in
-    bor := (d lsr 62) land 1;
-    w.!(i) <- d land kmask
-  done;
-  assert (!bor = 0)
-
-(* w <- w + m^2 over 2k+1 wide limbs (keeps lazy-reduction differences
-   non-negative: x + m^2 - y >= 0 for any wide products x, y < m^2). *)
-let wide_add_m2_into ctx w =
-  let n = (2 * ctx.k) + 1 in
-  let m2 = ctx.m2w in
-  let carry = ref 0 in
-  for i = 0 to n - 1 do
-    let s = w.!(i) + m2.!(i) + !carry in
-    w.!(i) <- s land kmask;
-    carry := s lsr kb
-  done;
-  assert (!carry = 0)
-
-(* w <- 2w over 2k+1 wide limbs. *)
-let wide_double_into ctx w =
-  let n = (2 * ctx.k) + 1 in
-  let carry = ref 0 in
-  for i = 0 to n - 1 do
-    let v = (w.!(i) lsl 1) lor !carry in
-    w.!(i) <- v land kmask;
-    carry := v lsr kb
-  done;
-  assert (!carry = 0)
-
 (* --- conversions ---
 
    The kernel base (2^26) differs from {!Nat}'s (2^31), so crossing the
@@ -533,77 +377,45 @@ let of_bigint ctx v =
   of_bigint_into ctx dst v;
   dst
 
+(* Montgomery multiplication by the plain limb value 1 decodes:
+   a * 1 * R^{-1} is the value, canonical. *)
 let to_bigint ctx a =
-  let k = ctx.k in
-  let w = (scratch k).ws in
-  Array.fill w 0 ((2 * k) + 2) 0;
-  Array.blit a 0 w 0 k;
-  let dst = alloc ctx in
-  redc_into ctx dst w;
-  unpack_to_bigint dst k
+  let v = alloc ctx in
+  v.(0) <- 1;
+  mul_into ctx v a v;
+  unpack_to_bigint v ctx.k
 
 (* --- exponentiation: in-place sliding window ---
 
-   Same window schedule as {!Modarith.window_pow}; the accumulator and
-   squaring chain reuse two buffers, the odd-powers table is the only
-   per-call allocation. Canonical representatives make the result
-   bit-identical to the generic path whatever the internal schedule. *)
+   The schedule of {!Bigint.sliding_windows}, as in {!Modarith.window_pow}.
+   The odd-powers table is the only per-call allocation: tbl.(0) is a
+   copy of [base], so [dst] may alias it and serves as the accumulator
+   (and, while the table is built, as base^2). Canonical representatives
+   make the result bit-identical to the generic path. *)
 let pow_into ctx dst base e =
   if Bigint.sign e < 0 then invalid_arg "Limbs.pow_into: negative exponent";
-  let n = Bigint.bit_length e in
-  if n = 0 then set_one ctx dst
-  else if n <= 8 then begin
-    let acc = alloc ctx in
-    set_one ctx acc;
-    for i = n - 1 downto 0 do
-      sqr_into ctx acc acc;
-      if Bigint.test_bit e i then mul_into ctx acc acc base
-    done;
-    copy_into ctx dst acc
-  end
+  if Bigint.is_zero e then set_one ctx dst
   else begin
-    let w = if n <= 96 then 3 else if n <= 320 then 4 else 5 in
+    let w, sched = Bigint.sliding_windows e in
     (* tbl.(i) = base^(2i+1). *)
     let tbl = Array.init (1 lsl (w - 1)) (fun _ -> alloc ctx) in
     copy_into ctx tbl.(0) base;
-    let b2 = alloc ctx in
-    sqr_into ctx b2 base;
-    for i = 1 to Array.length tbl - 1 do
-      mul_into ctx tbl.(i) tbl.(i - 1) b2
-    done;
-    let acc = b2 in
-    (* reuse: b2 is dead once the table is built *)
-    set_one ctx acc;
-    let started = ref false in
-    let i = ref (n - 1) in
-    while !i >= 0 do
-      if not (Bigint.test_bit e !i) then begin
-        if !started then sqr_into ctx acc acc;
-        decr i
-      end
-      else begin
-        let l = ref (Stdlib.max 0 (!i - w + 1)) in
-        while not (Bigint.test_bit e !l) do
-          incr l
-        done;
-        let v = ref 0 in
-        for j = !i downto !l do
-          v := (!v lsl 1) lor (if Bigint.test_bit e j then 1 else 0)
-        done;
-        if !started then begin
-          for _ = 1 to !i - !l + 1 do
-            sqr_into ctx acc acc
-          done;
-          mul_into ctx acc acc tbl.((!v - 1) / 2)
-        end
+    if w > 1 then begin
+      sqr_into ctx dst base;
+      for i = 1 to Array.length tbl - 1 do
+        mul_into ctx tbl.(i) tbl.(i - 1) dst
+      done
+    end;
+    List.iteri
+      (fun j (s, d) ->
+        if j = 0 then copy_into ctx dst tbl.(d lsr 1)
         else begin
-          copy_into ctx acc tbl.((!v - 1) / 2);
-          started := true
-        end;
-        i := !l - 1
-      end
-    done;
-    copy_into ctx dst acc
+          for _ = 1 to s do
+            sqr_into ctx dst dst
+          done;
+          if d > 0 then mul_into ctx dst dst tbl.(d lsr 1)
+        end)
+      sched
   end
 
 (* --- inversion: limb-form binary extended GCD ---
@@ -731,16 +543,10 @@ let create m =
   let r = Bigint.shift_left Bigint.one (k * kb) in
   let r_mod = Bigint.erem r m in
   let r2_b = Bigint.erem (Bigint.mul r_mod r_mod) m in
-  let lazy_ok = bits + 2 <= k * kb in
   let pack v =
     let out = Array.make k 0 in
     repack_nat_into out k (Bigint.magnitude v);
     out
-  in
-  let m2w =
-    let w = Array.make ((2 * k) + 2) 0 in
-    repack_nat_into w ((2 * k) + 2) (Nat.sqr (Bigint.magnitude m));
-    w
   in
   let ctx =
     {
@@ -751,8 +557,6 @@ let create m =
       one_m = pack r_mod;
       r2 = pack r2_b;
       r3 = Array.make k 0;
-      m2w;
-      lazy_ok;
       straight = Limbs_straight.for_width k;
     }
   in

@@ -9,7 +9,8 @@
     ({!Domain.DLS}), so concurrent use from a [Pool] of domains is
     race-free, and the inner loops perform no allocation, no [Array.sub],
     no normalization, and no data-dependent branches (conditional
-    subtraction is mask-selected). At 10 limbs the reduced kernels are
+    subtraction is mask-selected; only {!inv_into} and the exponent walk
+    of {!pow_into} branch on data). At 10 limbs the reduced kernels are
     generated straight-line code ([Limbs_straight]); every other width
     runs loops. Both return the canonical residue.
 
@@ -37,26 +38,10 @@ val create : Bigint.t -> ctx
 val modulus : ctx -> Bigint.t
 val limb_count : ctx -> int
 
-val lazy_ok : ctx -> bool
-(** Whether 4m <= R (top two bits of the top limb free): the gate for the
-    unreduced-sum / lazy-reduction identities used by the Fp2 kernels
-    ({!add_nored_into}, the wide pipeline). Holds for every named
-    parameter set; fails only for moduli within two bits of filling their
-    top limb, for which callers must keep to the reduced kernels. *)
-
-val lazy_products : ctx -> bool
-(** Whether GF(p^2) products should run the unreduced pipeline below:
-    {!lazy_ok} at a width that runs the loop kernels. At a width with
-    straight-line kernels, or without the headroom, they run reduced
-    Karatsuba on {!mul_into}/{!add_into}/{!sub_into} instead. *)
-
 (** {1 Buffers} *)
 
 val alloc : ctx -> elt
 (** A fresh zero element (the canonical encoding of 0). *)
-
-val wide_alloc : ctx -> int array
-(** A fresh wide buffer (2k+2 limbs) for the unreduced pipeline. *)
 
 val copy_into : ctx -> elt -> elt -> unit
 val set_zero : ctx -> elt -> unit
@@ -78,35 +63,16 @@ val mul_into : ctx -> elt -> elt -> elt -> unit
     trial borrow in one column pass). *)
 
 val sqr_into : ctx -> elt -> elt -> unit
-(** Dedicated squaring: wide square with each cross product computed once
-    (half the partial products), then Montgomery reduction. *)
-
-(** {1 Unreduced pipeline} — requires {!lazy_ok}; feeds the Fp2 kernels *)
-
-val add_nored_into : ctx -> elt -> elt -> elt -> unit
-(** Plain limb addition of two residues, no conditional subtraction. *)
-
-val mul_wide_into : ctx -> int array -> elt -> elt -> unit
-(** Full 2k-limb product, no reduction; extra top limbs zeroed. *)
-
-val sqr_wide_into : ctx -> int array -> elt -> unit
-val wide_sub_into : ctx -> int array -> int array -> int array -> unit
-(** [wide_sub_into w a b]: w <- a - b over the wide width; a >= b. *)
-
-val wide_add_m2_into : ctx -> int array -> unit
-(** w <- w + m^2: keeps lazy-reduction differences non-negative. *)
-
-val wide_double_into : ctx -> int array -> unit
-
-val redc_into : ctx -> elt -> int array -> unit
-(** Montgomery reduction of a wide value < m*R into a canonical element;
-    destroys the wide buffer. *)
+(** Dedicated squaring in the same fused column pass as {!mul_into}, with
+    each cross product computed once and doubled (half the partial
+    products). *)
 
 (** {1 Derived operations} *)
 
 val pow_into : ctx -> elt -> elt -> Bigint.t -> unit
 (** Sliding-window exponentiation over the in-place kernels (exponent
-    >= 0); the odd-powers table is the only per-call allocation. *)
+    >= 0), on the schedule of {!Bigint.sliding_windows}; the odd-powers
+    table is the only per-call allocation. *)
 
 val inv_into : ctx -> elt -> elt -> unit
 (** Allocation-free Montgomery inversion: a limb-form binary extended

@@ -45,63 +45,35 @@ let jacobi a n =
   in
   go a n 1
 
-(* Generic left-to-right sliding-window exponentiation with a table of odd
-   powers, shared by Montgomery exponentiation ({!Mont.pow}) and GT
-   exponentiation (Fp2). For a t-bit exponent and window w it costs
-   ~t squarings + t/(w+1) multiplications + 2^(w-1) table entries,
-   against t + t/2 multiplications for the binary ladder. *)
+(* Generic left-to-right sliding-window exponentiation over the schedule
+   of {!Bigint.sliding_windows}. It backs {!Mont.pow}, the reference that
+   pins the in-place [Limbs.pow_into]. For a t-bit exponent and window w
+   it costs ~t squarings + t/(w+1) multiplications + 2^(w-1) table
+   entries, against t + t/2 multiplications for the binary ladder. *)
 let window_pow ~one ~mul ~sqr base e =
   if Bigint.sign e < 0 then invalid_arg "Modarith.window_pow: negative exponent";
-  let n = Bigint.bit_length e in
-  if n = 0 then one
-  else if n <= 8 then begin
-    (* Tiny exponents: the table would cost more than it saves. *)
-    let acc = ref one in
-    for i = n - 1 downto 0 do
-      acc := sqr !acc;
-      if Bigint.test_bit e i then acc := mul !acc base
-    done;
-    !acc
-  end
+  if Bigint.is_zero e then one
   else begin
-    let w = if n <= 96 then 3 else if n <= 320 then 4 else 5 in
+    let w, sched = Bigint.sliding_windows e in
     (* tbl.(i) = base^(2i+1). *)
     let tbl = Array.make (1 lsl (w - 1)) base in
-    let b2 = sqr base in
-    for i = 1 to Array.length tbl - 1 do
-      tbl.(i) <- mul tbl.(i - 1) b2
-    done;
+    if w > 1 then begin
+      let b2 = sqr base in
+      for i = 1 to Array.length tbl - 1 do
+        tbl.(i) <- mul tbl.(i - 1) b2
+      done
+    end;
     let acc = ref one in
-    let started = ref false in
-    let i = ref (n - 1) in
-    while !i >= 0 do
-      if not (Bigint.test_bit e !i) then begin
-        if !started then acc := sqr !acc;
-        decr i
-      end
-      else begin
-        (* Largest window [l, i] ending on a set bit (so its value is odd). *)
-        let l = ref (Stdlib.max 0 (!i - w + 1)) in
-        while not (Bigint.test_bit e !l) do
-          incr l
-        done;
-        let v = ref 0 in
-        for j = !i downto !l do
-          v := (!v lsl 1) lor (if Bigint.test_bit e j then 1 else 0)
-        done;
-        if !started then begin
-          for _ = 1 to !i - !l + 1 do
+    List.iteri
+      (fun j (s, d) ->
+        if j = 0 then acc := tbl.(d lsr 1)
+        else begin
+          for _ = 1 to s do
             acc := sqr !acc
           done;
-          acc := mul !acc tbl.((!v - 1) / 2)
-        end
-        else begin
-          acc := tbl.((!v - 1) / 2);
-          started := true
-        end;
-        i := !l - 1
-      end
-    done;
+          if d > 0 then acc := mul !acc tbl.(d lsr 1)
+        end)
+      sched;
     !acc
   end
 

@@ -26,8 +26,10 @@ val window_pow :
   one:'a -> mul:('a -> 'a -> 'a) -> sqr:('a -> 'a) -> 'a -> Bigint.t -> 'a
 (** Generic left-to-right sliding-window exponentiation with an odd-powers
     table (~t/(w+1) multiplications for a t-bit exponent instead of the
-    binary ladder's t/2). Backs {!Mont.pow} and the GT exponentiation in
-    Fp2; exposed so any monoid can reuse it. Exponent must be [>= 0]. *)
+    binary ladder's t/2), over the schedule of {!Bigint.sliding_windows}
+    that the in-place [Limbs.pow_into] and [Fp2.pow] share. Backs
+    {!Mont.pow}; exposed so any monoid can reuse it. Exponent must be
+    [>= 0]. *)
 
 (** Montgomery-form modular arithmetic for a fixed odd modulus. *)
 module Mont : sig

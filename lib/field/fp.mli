@@ -11,8 +11,9 @@ type t = Limbs.elt
 (** A field element, tied to the [ctx] that created it: a canonical
     Montgomery residue over exactly [k] fixed limbs (see {!Limbs.elt}).
     The representation is exposed within the library so {!Fp2} can run
-    the lazy-reduction wide pipeline on raw coefficients; downstream code
-    must treat values as immutable and go through this interface. *)
+    its products on the coefficient buffers in place through {!Limbs};
+    downstream code must treat values as immutable and go through this
+    interface. *)
 
 val create : Bigint.t -> ctx
 (** [create p] builds a context for GF(p).
@@ -92,5 +93,4 @@ end
 
 val kernel : ctx -> Limbs.ctx
 (** The underlying fixed-limb kernel context (internal: {!Fp2}'s
-    lazy-reduction pipeline and the benchmark ablations reach through
-    this). *)
+    in-place products and the benchmark ablations reach through this). *)

@@ -33,8 +33,8 @@ val inv : Fp.ctx -> t -> t
 (** Raises [Division_by_zero] on zero. *)
 
 val pow : Fp.ctx -> t -> Bigint.t -> t
-(** Sliding-window exponentiation (odd-powers table); exponent may be
-    negative. *)
+(** Sliding-window exponentiation (odd-powers table, the schedule of
+    {!Bigint.sliding_windows}); exponent may be negative. *)
 
 val pow_binary : Fp.ctx -> t -> Bigint.t -> t
 (** Reference square-and-multiply ladder; kept for the equivalence tests
@@ -70,9 +70,9 @@ module Mut : sig
 
   val cyclo_sqr_into : Fp.ctx -> t -> t -> unit
   (** Squaring in the norm-1 (cyclotomic) subgroup: for a + bi with
-      a^2 + b^2 = 1, (a + bi)^2 = (2a^2 - 1) + 2ab i — one base-field
-      squaring and one multiplication, against the general formula's two
-      multiplications. {b Precondition}: [norm ctx a = 1]; the caller
-      (the final-exponentiation hard part, where f^(p-1) guarantees it)
-      is responsible, the kernel does not check. *)
+      a^2 + b^2 = 1, (a + bi)^2 = (2a^2 - 1) + ((a + b)^2 - 1) i — two
+      base-field squarings and no multiplication, against the general
+      formula's two multiplications. {b Precondition}: [norm ctx a = 1];
+      the caller (the final-exponentiation hard part, where f^(p-1)
+      guarantees it) is responsible, the kernel does not check. *)
 end

@@ -596,7 +596,7 @@ let miller_loop_xx_ref prms pt qt =
    y (ypn); the temporaries u0..u5 and the line-value buffers are
    transient within one step and shared across all walkers of a
    product. Each step folds its line values into the caller's f through
-   the lazy-reduction product. *)
+   the in-place {!Fp2.Mut} product. *)
 
 type xx_walker = {
   w_xp : Fp.t;
@@ -1019,10 +1019,10 @@ let miller_loop_ref prms pt qt =
    prod_i f_{q,P_i}(phi Q_i) through ONE interleaved Miller loop: all
    walkers share a single f^2 squaring chain — with N pairs the dominant
    GF(p^2) squarings are paid once instead of N times — and every line
-   evaluation folds into the same accumulator through the lazy-reduction
-   product. This is the only production Miller loop of each family: a
-   single pairing is a product of one live pair, a prepared pairing a
-   product of one prepared slot. Prepared schedules and live points mix
+   evaluation folds into the same accumulator through the in-place
+   {!Fp2.Mut} product. This is the only production Miller loop of each
+   family: a single pairing is a product of one live pair, a prepared
+   pairing a product of one prepared slot. Prepared schedules and live points mix
    freely; a live first argument equal to the system generator is
    promoted to the construction-time prepared schedule.
 
@@ -1479,8 +1479,8 @@ let final_exponentiation prms f =
   else begin
     let tbl, tbln, acc = fe_scratch fp in
     (* Easy part into tbl.(0): f1 = conj(f) * f^-1, allocation-free —
-       tbln.(0)'s im buffer moonlights as conj(f)'s im, and the lazy
-       product reads its operands out before touching the destination. *)
+       tbln.(0)'s im buffer moonlights as conj(f)'s im, and the product
+       reads its operands out before touching the destination. *)
     Fp2.Mut.inv_into fp acc f;
     Fp.Mut.neg_into fp tbln.(0).Fp2.im f.Fp2.im;
     Fp2.Mut.mul_into fp

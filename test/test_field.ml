@@ -184,50 +184,50 @@ let prop_fp2_mul_fp =
     (fun (s, a) ->
       Fp2.equal (Fp2.mul_fp ctx s a) (Fp2.mul ctx (Fp2.of_fp ctx s) a))
 
-(* Differential pin for the GF(p^2) product paths: functional and [Mut]
+(* The schoolbook product (ac - bd) + (ad + bc)i on functional [Fp] ops,
+   and a grid of elements over edge and random coefficients mod p. *)
+let school c x y =
+  Fp2.make
+    ~re:(Fp.sub c (Fp.mul c x.Fp2.re y.Fp2.re) (Fp.mul c x.Fp2.im y.Fp2.im))
+    ~im:(Fp.add c (Fp.mul c x.Fp2.re y.Fp2.im) (Fp.mul c x.Fp2.im y.Fp2.re))
+
+let grid rng c p =
+  let coeffs =
+    [ B.zero; B.one; B.pred p; B.sub p (B.of_int 2) ]
+    @ List.init 6 (fun _ -> B.erem (B.of_bytes_be (Hashing.Drbg.generate rng 40)) p)
+  in
+  List.concat_map
+    (fun re ->
+      List.map (fun im -> Fp2.make ~re:(Fp.of_bigint c re) ~im:(Fp.of_bigint c im)) coeffs)
+    coeffs
+
+let named_p n = (Option.get (Pairing.by_name n)).Pairing.p
+
+let fp2_copy c x =
+  let d = Fp2.Mut.alloc c in
+  Fp2.Mut.set c d x;
+  d
+
+(* Differential pin for the GF(p^2) products: functional and [Mut]
    mul/sqr, the destination fresh or aliasing a, b or both, against the
-   schoolbook (ac - bd) + (ad + bc)i on functional [Fp] ops. An
-   identity-only check (commutativity, associativity) would pass a
-   consistently wrong product. One modulus per path: mid128's p
-   (straight-line width, reduced Karatsuba), std160's p (loop width,
-   lazy pipeline) and 2^260 - 61 (straight-line width, no lazy
-   headroom, reduced). *)
+   schoolbook product. An identity-only check (commutativity,
+   associativity) would pass a consistently wrong product. One modulus
+   per kernel shape: mid128's p (10 limbs, straight-line), std160's p
+   (20-limb loops), toy64's p (4-limb loops) and 2^260 - 61 (straight-
+   line, top limb saturated). *)
 let test_fp2_products_schoolbook () =
-  let named n = (Option.get (Pairing.by_name n)).Pairing.p in
   let rng = Hashing.Drbg.create ~seed:"test-fp2-products" () in
   List.iter
-    (fun (label, p, lazy_path) ->
+    (fun (label, p) ->
       let c = Fp.create p in
-      Alcotest.(check bool) (label ^ ": product path") lazy_path
-        (Limbs.lazy_products (Fp.kernel c));
-      let school x y =
-        Fp2.make
-          ~re:(Fp.sub c (Fp.mul c x.Fp2.re y.Fp2.re) (Fp.mul c x.Fp2.im y.Fp2.im))
-          ~im:(Fp.add c (Fp.mul c x.Fp2.re y.Fp2.im) (Fp.mul c x.Fp2.im y.Fp2.re))
-      in
-      let coeffs =
-        [ B.zero; B.one; B.pred p; B.sub p (B.of_int 2) ]
-        @ List.init 6 (fun _ ->
-              B.erem (B.of_bytes_be (Hashing.Drbg.generate rng 40)) p)
-      in
-      let elts =
-        List.concat_map
-          (fun re ->
-            List.map (fun im -> Fp2.make ~re:(Fp.of_bigint c re) ~im:(Fp.of_bigint c im)) coeffs)
-          coeffs
-      in
+      let elts = grid rng c p in
       let eq = Alcotest.testable (Fp2.pp c) Fp2.equal in
-      let copy x =
-        let d = Fp2.Mut.alloc c in
-        Fp2.Mut.set c d x;
-        d
-      in
       let check what expect got = Alcotest.check eq (label ^ ": " ^ what) expect got in
       List.iteri
         (fun i x ->
           (* Pair each element with a spread of partners, itself included. *)
           let y = List.nth elts ((i * 37 + 11) mod List.length elts) in
-          let xy = school x y and xx = school x x in
+          let xy = school c x y and xx = school c x x in
           check "mul" xy (Fp2.mul c x y);
           check "sqr" xx (Fp2.sqr c x);
           let d = Fp2.Mut.alloc c in
@@ -235,24 +235,53 @@ let test_fp2_products_schoolbook () =
           check "Mut.mul" xy d;
           Fp2.Mut.sqr_into c d x;
           check "Mut.sqr" xx d;
-          let d = copy x in
+          let d = fp2_copy c x in
           Fp2.Mut.mul_into c d d y;
           check "Mut.mul dst = a" xy d;
-          let d = copy y in
+          let d = fp2_copy c y in
           Fp2.Mut.mul_into c d x d;
           check "Mut.mul dst = b" xy d;
-          let d = copy x in
+          let d = fp2_copy c x in
           Fp2.Mut.mul_into c d d d;
           check "Mut.mul dst = a = b" xx d;
-          let d = copy x in
+          let d = fp2_copy c x in
           Fp2.Mut.sqr_into c d d;
           check "Mut.sqr dst = a" xx d)
         elts)
     [
-      ("mid128", named "mid128", false);
-      ("std160", named "std160", true);
-      ("2^260 - 61", B.sub (B.shift_left B.one 260) (B.of_int 61), false);
+      ("mid128", named_p "mid128");
+      ("std160", named_p "std160");
+      ("toy64", named_p "toy64");
+      ("2^260 - 61", B.sub (B.shift_left B.one 260) (B.of_int 61));
     ]
+
+(* The cyclotomic squaring against the schoolbook square on norm-1
+   inputs u = conj(x) * x^-1, on every named set's p, with the
+   destination fresh and aliasing the operand. The final exponentiation
+   is its only caller, so this pins it directly. *)
+let test_fp2_cyclo_sqr_schoolbook () =
+  let rng = Hashing.Drbg.create ~seed:"test-fp2-cyclo" () in
+  List.iter
+    (fun name ->
+      let p = named_p name in
+      let c = Fp.create p in
+      let eq = Alcotest.testable (Fp2.pp c) Fp2.equal in
+      let check what expect got = Alcotest.check eq (name ^ ": " ^ what) expect got in
+      List.iter
+        (fun x ->
+          if not (Fp2.is_zero c x) then begin
+            let u = Fp2.mul c (Fp2.conj c x) (Fp2.inv c x) in
+            Alcotest.(check bool) (name ^ ": norm 1") true (Fp.equal (Fp.one c) (Fp2.norm c u));
+            let uu = school c u u in
+            let d = Fp2.Mut.alloc c in
+            Fp2.Mut.cyclo_sqr_into c d u;
+            check "cyclo_sqr" uu d;
+            let d = fp2_copy c u in
+            Fp2.Mut.cyclo_sqr_into c d d;
+            check "cyclo_sqr dst = a" uu d
+          end)
+        (grid rng c p))
+    Pairing.all_names
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
@@ -279,6 +308,8 @@ let () =
           Alcotest.test_case "window pow edges" `Quick test_fp2_window_pow_edges;
           Alcotest.test_case "products = schoolbook, all paths" `Quick
             test_fp2_products_schoolbook;
+          Alcotest.test_case "cyclotomic square = schoolbook, all sets" `Quick
+            test_fp2_cyclo_sqr_schoolbook;
         ] );
       ( "fp2-props",
         q

@@ -5,7 +5,7 @@
    contract is exact value equality through [to_bigint] on every
    operation, for every modulus shape — including adversarial ones: edge
    values 0, 1, m-1, values forcing full carry chains, and moduli that
-   fill their top limb (which disable the lazy-reduction gate). *)
+   fill their top limb. *)
 
 module B = Bigint
 module Mont = Modarith.Mont
@@ -18,20 +18,12 @@ let rng = ref (Hashing.Drbg.create ~seed:"test-limbs" ())
 let random_bigint bytes =
   B.of_bytes_be (Hashing.Drbg.generate !rng bytes)
 
-(* Moduli under test: every named parameter set's p and q (odd), the
-   256-bit test prime, a handful of random odd moduli of assorted limb
-   counts, and maximal-limb moduli (bit length = 26k, flush with the
-   kernel limb base) for which [Limbs.lazy_ok] is false and the reduced
-   kernels must carry the day. *)
-let moduli =
-  let named =
-    List.filter_map
-      (fun n ->
-        match Pairing.by_name n with
-        | Some prms -> Some prms.Pairing.p
-        | None -> None)
-      [ "toy64"; "mid128"; "std160"; "toy64b"; "mid128b" ]
-  in
+(* Synthetic moduli: the 256-bit test prime, a handful of random odd
+   moduli of assorted limb counts, and maximal-limb moduli (bit length =
+   26k, flush with the kernel limb base, no headroom above m). Built
+   without [Pairing], so a broken kernel fails a differential check that
+   names the operation instead of a parameter set's construction. *)
+let synthetic_moduli =
   let p256 = B.sub (B.pow B.two 256) (B.of_int 189) in
   let random_odds =
     List.map
@@ -41,7 +33,7 @@ let moduli =
         if B.is_even v then B.succ v else v)
       [ 4; 9; 17; 33; 64 ]
   in
-  (* Top kernel limb saturated: 26k-bit moduli, lazy gate off. *)
+  (* Top kernel limb saturated: 26k-bit moduli. *)
   let maximal =
     List.map
       (fun k -> B.sub (B.shift_left B.one (26 * k)) (B.of_int 61))
@@ -54,7 +46,12 @@ let moduli =
     let top = B.shift_left B.one 234 in
     B.add top (B.erem (B.pow (B.of_int 3) 150) top)
   in
-  named @ [ p256 ] @ random_odds @ maximal @ [ narrow10 ]
+  [ p256 ] @ random_odds @ maximal @ [ narrow10 ]
+
+(* Every named parameter set's p, read inside the cases that use it:
+   [Pairing.by_name] builds the set on the kernels under test. *)
+let named_moduli () =
+  List.map (fun n -> (Option.get (Pairing.by_name n)).Pairing.p) Pairing.all_names
 
 let edge_values m =
   [ B.zero; B.one; B.of_int 2; B.pred m; B.sub m (B.of_int 2);
@@ -146,37 +143,7 @@ let check_modulus m =
           Alcotest.check bi (name (op ^ "-aliased-ab"))
             (Mont.to_bigint mc (reference am am))
             (Limbs.to_bigint kc c'))
-        [ ("add", Limbs.add_into, Mont.add mc); ("sub", Limbs.sub_into, Mont.sub mc) ];
-      (* Wide pipeline, gated exactly like the Fp2 lazy-reduction user. *)
-      if Limbs.lazy_ok kc then begin
-        let w = Limbs.wide_alloc kc in
-        Limbs.mul_wide_into kc w a b;
-        Limbs.redc_into kc d w;
-        Alcotest.check bi (name "mul-wide+redc")
-          (Mont.to_bigint mc (Mont.mul mc am bm))
-          (Limbs.to_bigint kc d);
-        Limbs.sqr_wide_into kc w a;
-        Limbs.redc_into kc d w;
-        Alcotest.check bi (name "sqr-wide+redc")
-          (Mont.to_bigint mc (Mont.sqr mc am))
-          (Limbs.to_bigint kc d);
-        (* redc(a*b + m^2 - a*b) = redc(m^2) = m*R... reduced: 0. *)
-        Limbs.mul_wide_into kc w a b;
-        Limbs.wide_add_m2_into kc w;
-        let w2 = Limbs.wide_alloc kc in
-        Limbs.mul_wide_into kc w2 a b;
-        Limbs.wide_sub_into kc w w w2;
-        Limbs.redc_into kc d w;
-        Alcotest.check bi (name "wide m^2 cancels") B.zero (Limbs.to_bigint kc d);
-        (* redc(2*(a*b)) = 2ab * R^-1. *)
-        Limbs.mul_wide_into kc w a b;
-        Limbs.wide_double_into kc w;
-        Limbs.redc_into kc d w;
-        let ab = Mont.mul mc am bm in
-        Alcotest.check bi (name "wide double")
-          (Mont.to_bigint mc (Mont.add mc ab ab))
-          (Limbs.to_bigint kc d)
-      end)
+        [ ("add", Limbs.add_into, Mont.add mc); ("sub", Limbs.sub_into, Mont.sub mc) ])
     pairs;
   (* pow against the generic reference, assorted exponents. *)
   let exps =
@@ -213,7 +180,8 @@ let check_modulus m =
             ignore (Limbs.inv_into kc (Limbs.alloc kc) (to_k v))))
     (values m 6)
 
-let test_differential () = List.iter check_modulus moduli
+let test_differential_synthetic () = List.iter check_modulus synthetic_moduli
+let test_differential_named () = List.iter check_modulus (named_moduli ())
 
 let test_mont_inv_roundtrip_equiv () =
   (* The single-conversion [Mont.inv] must agree with the old
@@ -233,7 +201,7 @@ let test_mont_inv_roundtrip_equiv () =
               (Mont.to_bigint mc (Mont.inv mc a))
           end)
         (values m 8))
-    moduli
+    (synthetic_moduli @ named_moduli ())
 
 (* The hot kernels must stay allocation-free: their scratch is per-domain
    and grow-only, so after a warm-up call the steady state allocates
@@ -280,9 +248,7 @@ let test_pool_race_free () =
     Limbs.add_into kc d d a;
     Limbs.sub_into kc d d b;
     Limbs.pow_into kc d d (B.of_int (97 + i));
-    let w = Limbs.wide_alloc kc in
-    Limbs.mul_wide_into kc w d a;
-    Limbs.redc_into kc d w;
+    Limbs.inv_into kc d d;
     Limbs.to_bigint kc d
   in
   let serial = List.map work items in
@@ -298,7 +264,10 @@ let () =
     [
       ( "kernel-vs-mont",
         [
-          Alcotest.test_case "differential all moduli" `Quick test_differential;
+          Alcotest.test_case "differential synthetic moduli" `Quick
+            test_differential_synthetic;
+          Alcotest.test_case "differential named sets" `Quick
+            test_differential_named;
           Alcotest.test_case "mont inv single-conversion" `Quick
             test_mont_inv_roundtrip_equiv;
           Alcotest.test_case "inv allocation-free" `Quick

@@ -1,6 +1,8 @@
 (* Bench regression guard: parses the benchmark JSON artifacts and fails
    (exit 1) if any kernel-vs-reference speedup sits below its checked-in
-   floor, or if an expected row is missing entirely.
+   floor, or if an expected row is missing entirely. Every artifact is
+   checked and gets its own verdict line before the guard exits, so a miss
+   in one never hides the rows of the next.
 
    Each artifact carries its own floor set, keyed by file basename:
    BENCH_E1_KERNEL.json (the E1 kernel-vs-reference table) and
@@ -155,20 +157,23 @@ let float_field line key =
   in
   find 0
 
+(* An artifact that cannot be checked at all; it counts as one violation. *)
+exception Unchecked of string
+
+(* Prints every row's verdict and the file's; returns the violation count. *)
 let check_file file =
   let floors =
     match List.assoc_opt (Filename.basename file) floor_sets with
     | Some f -> f
     | None ->
-        Printf.eprintf "bench-guard: no floor set for %s (known: %s)\n" file
-          (String.concat ", " (List.map fst floor_sets));
-        exit 1
+        raise
+          (Unchecked
+             (Printf.sprintf "no floor set for %s (known: %s)" file
+                (String.concat ", " (List.map fst floor_sets))))
   in
   let ic =
     try open_in file
-    with Sys_error e ->
-      Printf.eprintf "bench-guard: cannot open %s: %s\n" file e;
-      exit 1
+    with Sys_error e -> raise (Unchecked (Printf.sprintf "cannot open %s: %s" file e))
   in
   let rows = ref [] in
   (try
@@ -210,12 +215,22 @@ let check_file file =
                   floor)
             l)
     floors;
-  if !failures > 0 then begin
-    Printf.printf "bench-guard: %d floor violation(s) in %s\n" !failures file;
-    exit 1
-  end
+  if !failures > 0 then
+    Printf.printf "bench-guard: %d floor violation(s) in %s\n" !failures file
   else
     Printf.printf "bench-guard: all %d floors hold in %s\n" (List.length floors)
-      file
+      file;
+  !failures
 
-let () = List.iter check_file files
+let () =
+  let check n file =
+    try n + check_file file
+    with Unchecked msg ->
+      Printf.eprintf "bench-guard: %s\n" msg;
+      n + 1
+  in
+  let total = List.fold_left check 0 files in
+  if total > 0 then begin
+    Printf.printf "bench-guard: %d floor violation(s) in total\n" total;
+    exit 1
+  end
