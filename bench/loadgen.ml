@@ -53,7 +53,6 @@ let json_path = ref "BENCH_E13.json"
 let json_append = ref false
 let unix_path = ref ""
 let backend_str = ref "auto"
-let no_writev = ref false
 let client_tier = ref "full"
 let quiet = ref false
 
@@ -85,8 +84,6 @@ let spec =
      "PATH socket path (default: private path under /tmp)");
     ("--backend", Arg.Set_string backend_str,
      "NAME server event backend: auto|select|epoll (default auto)");
-    ("--no-writev", Arg.Set no_writev,
-     " server sends one write per frame (the PR 6 baseline)");
     ("--client-tier", Arg.Set_string client_tier,
      "TIER sampled single verifies: full = on-device pairings, thin = \
       blinded delegation to two helper daemons over sockets (default full)");
@@ -301,7 +298,6 @@ let () =
       shards = (if !shards > 0 then !shards else Pool.recommended ());
       max_queue_frames = !max_queue;
       backend;
-      vectored = not !no_writev;
     }
   in
   let rng = Hashing.Drbg.create ~seed:!seed ~personalization:"loadgen" () in
@@ -323,10 +319,8 @@ let () =
   let updates : (string, Tre.update) Hashtbl.t = Hashtbl.create 256 in
   (* tick->update latency histogram. Scoped to the PACED broadcast phase
      only: the slow-reader burst (phase 3) ticks in a tight loop to force
-     eviction, and sampling it would pollute the tail with flood epochs —
-     how many burst epochs eviction takes depends on the send path (one
-     skb per frame fills the peer's kernel buffer far sooner than
-     coalesced writev sends), so the pollution would differ by backend. *)
+     eviction, and sampling it would pollute the tail with flood epochs,
+     as many as it takes to fill the slow readers' kernel buffers. *)
   let lat_samples = ref [] in
   let measuring = ref true in
   let n_samples = ref 0 in
@@ -711,7 +705,6 @@ let () =
     field "experiment" "%S" "E13";
     field "params" "%S" !params;
     field "backend" "%S" (Poller.backend_name effective_backend);
-    field "vectored_writes" "%b" (not !no_writev && Poller.writev_available);
     field "clients_simulated" "%d" !clients;
     field "real_connections" "%d" !conns;
     field "clients_per_connection" "%d" (!clients / max 1 !conns);

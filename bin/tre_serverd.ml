@@ -22,7 +22,6 @@ let period = ref 1.0
 let shards = ref 0
 let max_queue = ref 64
 let backend_str = ref "auto"
-let no_writev = ref false
 let seed = ref ""
 let ticks = ref 0
 let first_epoch = ref 1
@@ -47,8 +46,6 @@ let spec =
      "N per-connection back-pressure bound, in frames (default 64)");
     ("--backend", Arg.Set_string backend_str,
      "NAME event backend: auto|select|epoll (default auto)");
-    ("--no-writev", Arg.Set no_writev,
-     " one write syscall per frame instead of vectored sends");
     ("--seed", Arg.Set_string seed,
      "STRING deterministic key material (default: system entropy)");
     ("--ticks", Arg.Set_int ticks,
@@ -110,7 +107,6 @@ let () =
       shards = (if !shards > 0 then !shards else Pool.recommended ());
       max_queue_frames = !max_queue;
       backend;
-      vectored = not !no_writev;
     }
   in
   if cfg.Net_server.unix_path = None && cfg.Net_server.tcp_port = None then
@@ -128,11 +124,10 @@ let () =
   Net_server.start srv;
   if not !quiet then begin
     Printf.printf
-      "tre-serverd: %s, origin %s, granularity %gs, %d shard%s, %s backend%s\n"
+      "tre-serverd: %s, origin %s, granularity %gs, %d shard%s, %s backend\n"
       !params !origin !granularity cfg.Net_server.shards
       (if cfg.Net_server.shards = 1 then "" else "s")
-      (Net_server.backend_name srv)
-      (if Net_server.vectored srv then " (writev)" else "");
+      (Net_server.backend_name srv);
     Option.iter (Printf.printf "  unix %s\n") cfg.Net_server.unix_path;
     Option.iter
       (Printf.printf "  tcp %s:%d\n" cfg.Net_server.tcp_addr)

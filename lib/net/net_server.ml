@@ -1,7 +1,7 @@
 (* The networked passive time server.
 
-   Architecture (DESIGN §2): one listener thread accepts on the Unix
-   and/or TCP listening sockets and deals connections to the shard with
+   Architecture (DESIGN §2): shard 0 also watches the Unix and/or TCP
+   listening sockets, accepts, and deals each connection to the shard with
    the fewest open connections. Each shard owns its connections outright
    — reads, frame decoding, request dispatch and writes for a connection
    all happen on its shard, so there is no per-connection locking
@@ -10,19 +10,18 @@
    with a single [Atomic.exchange] — the broadcast fan-out path takes no
    lock — plus a self-pipe byte to interrupt the shard's poller.
 
-   Event backend ({!Poller}): each shard and the listener run on a
-   pluggable poller — Linux epoll when available, portable select
-   otherwise, overridable in the config. Readiness interest is
-   registered once per descriptor and modified only on transitions
-   (output queue empty <-> non-empty), never rebuilt per iteration, so a
-   shard's steady-state cost is O(ready descriptors) per wake-up on
-   epoll instead of select's O(all connections) scan and FD_SETSIZE
-   ceiling.
+   Event backend ({!Poller}): each shard runs on a pluggable poller —
+   Linux epoll when available, portable select otherwise, overridable in
+   the config. Readiness interest is registered once per descriptor and
+   modified only on transitions (output queue empty <-> non-empty), never
+   rebuilt per iteration, so a shard's steady-state cost is O(ready
+   descriptors) per wake-up on epoll instead of select's O(all
+   connections) scan and FD_SETSIZE ceiling.
 
    The hot loop is allocation-lean by construction: each update is
-   issued and encoded exactly once per epoch ([frame_for_epoch], a
-   mutex-guarded cache that every shard and the archive path share), and
-   the resulting framed byte string is enqueued by reference on every
+   issued and encoded exactly once per epoch ({!Server_core}, whose
+   cache every shard, the tick and the archive path share), and the
+   resulting framed byte string is enqueued by reference on every
    subscriber — encode once, write N times. Read scratch and the
    self-pipe drain buffer are one reusable [Bytes] per shard (not per
    connection, not per call), and the send path snapshots a connection's
@@ -45,10 +44,8 @@ type config = {
   udp_dest : (string * int) option;
   shards : int;
   max_queue_frames : int;
-  max_payload : int;
   archive_cache_limit : int;
   backend : Poller.backend option;
-  vectored : bool;
 }
 
 let default_config prms timeline =
@@ -61,10 +58,8 @@ let default_config prms timeline =
     udp_dest = None;
     shards = Pool.recommended ();
     max_queue_frames = 64;
-    max_payload = Frame.default_max_payload;
     archive_cache_limit = 4096;
     backend = None;
-    vectored = true;
   }
 
 type conn = {
@@ -93,23 +88,17 @@ type shard = {
 
 type t = {
   cfg : config;
-  secret : Tre.Server.secret;
-  public : Tre.Server.public;
-  frames : (int, string) Hashtbl.t; (* epoch -> framed Key_update bytes *)
-  frames_lock : Mutex.t;
-  last_epoch : int Atomic.t;
+  core : Server_core.t; (* key, watermark, framed-update cache *)
   shards : shard array;
-  mutable listeners : Unix.file_descr list;
+  mutable listeners : Unix.file_descr list; (* polled by shard 0 *)
+  mutable spare : Unix.file_descr option; (* shard 0's reserve, see [shed] *)
   mutable udp : (Unix.file_descr * Unix.sockaddr) option;
   stopping : bool Atomic.t;
   mutable shard_domains : unit Domain.t list;
-  mutable listener_thread : Thread.t option;
-  vectored : bool;
   (* stats *)
   st_accepted : int Atomic.t;
   st_open : int Atomic.t;
   st_subscribers : int Atomic.t;
-  st_encoded : int Atomic.t;
   st_frames_sent : int Atomic.t;
   st_bytes_sent : int Atomic.t;
   st_archive_hits : int Atomic.t;
@@ -146,28 +135,6 @@ let bump_peak t =
     if now > peak && not (Atomic.compare_and_set t.st_queue_peak peak now) then go ()
   in
   go ()
-
-(* --- encode-once update frames --- *)
-
-(* The single place an update is issued and serialized. Broadcast and
-   archive lookups share the cache, so a tick followed by any number of
-   archive pulls of the same epoch still encodes once. The cache is
-   evicted wholesale past a bound — regeneration from [s] is cheap
-   (paper footnote 4) and deterministic, so eviction is invisible to
-   clients and the table cannot be ballooned by archive scans. *)
-let frame_for_epoch t epoch =
-  Mutex.protect t.frames_lock (fun () ->
-      match Hashtbl.find_opt t.frames epoch with
-      | Some f -> f
-      | None ->
-          let label = Timeline.label t.cfg.timeline epoch in
-          let upd = Tre.issue_update t.cfg.prms t.secret label in
-          let f = Frame.encode (Tre.update_to_bytes t.cfg.prms upd) in
-          if Hashtbl.length t.frames >= t.cfg.archive_cache_limit then
-            Hashtbl.reset t.frames;
-          Hashtbl.replace t.frames epoch f;
-          Atomic.incr t.st_encoded;
-          f)
 
 (* --- connection lifecycle (shard-local) --- *)
 
@@ -228,7 +195,7 @@ let stats t =
     Netmsg.conns_accepted = Atomic.get t.st_accepted;
     conns_open = Atomic.get t.st_open;
     subscribers = Atomic.get t.st_subscribers;
-    updates_encoded = Atomic.get t.st_encoded;
+    updates_encoded = Server_core.updates_encoded t.core;
     frames_sent = Atomic.get t.st_frames_sent;
     bytes_sent = Atomic.get t.st_bytes_sent;
     archive_hits = Atomic.get t.st_archive_hits;
@@ -244,96 +211,67 @@ let stats t =
   }
 
 let hello_frame t =
+  let pub = Server_core.public t.core in
   Frame.encode
     (Netmsg.hello_to_bytes t.cfg.prms
        {
          Netmsg.origin = Timeline.origin t.cfg.timeline;
          granularity_us =
            int_of_float (Timeline.granularity t.cfg.timeline *. 1e6);
-         current_epoch = Stdlib.max 0 (Atomic.get t.last_epoch);
-         server_g = t.public.Tre.Server.g;
-         server_sg = t.public.Tre.Server.sg;
+         current_epoch = Server_core.released t.core;
+         server_g = pub.Tre.Server.g;
+         server_sg = pub.Tre.Server.sg;
        })
 
 (* --- output path --- *)
 
-(* Drain as much of [c]'s queue as the socket accepts. The vectored path
-   snapshots up to |iov| frames into the shard's reusable array and
-   submits them in one [writev] — a broadcast epoch (tick preamble +
-   update) or a backlog of archive replies costs one syscall, not one
-   per frame. The fallback is the portable one-write-per-frame loop.
-   Both count [send_syscalls]. *)
+(* Drain as much of [c]'s queue as the socket accepts: snapshot up to
+   |iov| frames into the shard's reusable array and submit them in one
+   [writev], so a broadcast epoch (tick preamble + update) or a backlog
+   of archive replies costs one syscall, not one per frame. *)
 let handle_write t sh c =
-  if t.vectored then begin
-    let progress = ref true in
-    while c.alive && !progress && not (Queue.is_empty c.outq) do
-      let cap = Array.length sh.iov in
-      let n = ref 0 in
-      let total = ref (-c.out_off) in
-      (try
-         Queue.iter
-           (fun f ->
-             if !n >= cap then raise Exit;
-             sh.iov.(!n) <- f;
-             incr n;
-             total := !total + String.length f)
-           c.outq
-       with Exit -> ());
-      match Poller.writev c.fd sh.iov ~first_off:c.out_off ~count:!n with
-      | written ->
-          Atomic.incr t.st_send_syscalls;
-          ignore (Atomic.fetch_and_add t.st_bytes_sent written);
-          ignore (Atomic.fetch_and_add t.st_queue_bytes (-written));
-          let rem = ref written in
-          while !rem > 0 do
-            let head = Queue.peek c.outq in
-            let left = String.length head - c.out_off in
-            if !rem >= left then begin
-              ignore (Queue.pop c.outq);
-              c.out_off <- 0;
-              rem := !rem - left
-            end
-            else begin
-              c.out_off <- c.out_off + !rem;
-              rem := 0
-            end
-          done;
-          if written < !total then progress := false
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          Atomic.incr t.st_send_syscalls;
-          progress := false
-      | exception Unix.Unix_error (_, _, _) -> close_conn t sh c
-    done;
-    (* Drop the snapshot's frame references so the shared strings don't
-       outlive their queues through the scratch array. *)
-    Array.fill sh.iov 0 (Array.length sh.iov) ""
-  end
-  else begin
-    let progress = ref true in
-    while c.alive && !progress && not (Queue.is_empty c.outq) do
-      let head = Queue.peek c.outq in
-      let len = String.length head - c.out_off in
-      match Unix.single_write_substring c.fd head c.out_off len with
-      | written ->
-          Atomic.incr t.st_send_syscalls;
-          ignore (Atomic.fetch_and_add t.st_bytes_sent written);
-          ignore (Atomic.fetch_and_add t.st_queue_bytes (-written));
-          if written = len then begin
+  let progress = ref true in
+  while c.alive && !progress && not (Queue.is_empty c.outq) do
+    let cap = Array.length sh.iov in
+    let n = ref 0 in
+    let total = ref (-c.out_off) in
+    (try
+       Queue.iter
+         (fun f ->
+           if !n >= cap then raise Exit;
+           sh.iov.(!n) <- f;
+           incr n;
+           total := !total + String.length f)
+         c.outq
+     with Exit -> ());
+    match Poller.writev c.fd sh.iov ~first_off:c.out_off ~count:!n with
+    | written ->
+        Atomic.incr t.st_send_syscalls;
+        ignore (Atomic.fetch_and_add t.st_bytes_sent written);
+        ignore (Atomic.fetch_and_add t.st_queue_bytes (-written));
+        let rem = ref written in
+        while !rem > 0 do
+          let head = Queue.peek c.outq in
+          let left = String.length head - c.out_off in
+          if !rem >= left then begin
             ignore (Queue.pop c.outq);
-            c.out_off <- 0
+            c.out_off <- 0;
+            rem := !rem - left
           end
           else begin
-            c.out_off <- c.out_off + written;
-            progress := false
+            c.out_off <- c.out_off + !rem;
+            rem := 0
           end
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          Atomic.incr t.st_send_syscalls;
-          progress := false
-      | exception Unix.Unix_error (_, _, _) -> close_conn t sh c
-    done
-  end
+        done;
+        if written < !total then progress := false
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+        Atomic.incr t.st_send_syscalls;
+        progress := false
+    | exception Unix.Unix_error (_, _, _) -> close_conn t sh c
+  done;
+  (* Drop the snapshot's frame references so the shared strings don't
+     outlive their queues through the scratch array. *)
+  Array.fill sh.iov 0 (Array.length sh.iov) ""
 
 (* Enqueue-and-flush: try the socket immediately instead of waiting a
    poller round trip. On an undersaturated socket this writes the reply
@@ -345,23 +283,13 @@ let flush t sh c =
   end
 
 let handle_archive t sh c label =
-  match Timeline.epoch_of_label t.cfg.timeline label with
-  | None ->
+  match Server_core.lookup t.core label with
+  | Ok frame ->
+      Atomic.incr t.st_archive_hits;
+      enqueue t sh c frame
+  | Error miss ->
       Atomic.incr t.st_archive_misses;
-      enqueue t sh c
-        (Frame.encode (Netmsg.archive_miss_to_bytes t.cfg.prms label Netmsg.Unknown_label))
-  | Some e ->
-      if e > Atomic.get t.last_epoch then begin
-        (* §3: a correct server never releases an update early. *)
-        Atomic.incr t.st_archive_misses;
-        enqueue t sh c
-          (Frame.encode
-             (Netmsg.archive_miss_to_bytes t.cfg.prms label Netmsg.Future_refused))
-      end
-      else begin
-        Atomic.incr t.st_archive_hits;
-        enqueue t sh c (frame_for_epoch t e)
-      end
+      enqueue t sh c (Frame.encode (Netmsg.archive_miss_to_bytes t.cfg.prms label miss))
 
 let dispatch t sh c payload =
   match Codec.peek_kind payload with
@@ -387,6 +315,73 @@ let dispatch t sh c payload =
       (* Kind confusion: clients have no business sending key updates,
          ciphertexts or server responses at the daemon. *)
       proto_error t sh c
+
+(* --- accepting (shard 0) --- *)
+
+(* Least-open-connections shard pick. [nconns] is bumped here, at
+   assignment — not at adoption — so a connection burst spreads by the
+   counts it is itself creating, and decremented when the shard closes
+   the connection. Ties break toward the lowest shard id. *)
+let assign t fd =
+  let best = ref t.shards.(0) in
+  let bestn = ref (Atomic.get t.shards.(0).nconns) in
+  Array.iter
+    (fun sh ->
+      let n = Atomic.get sh.nconns in
+      if n < !bestn then begin
+        best := sh;
+        bestn := n
+      end)
+    t.shards;
+  let sh = !best in
+  Atomic.incr sh.nconns;
+  push_atomic sh.inbox_conns fd;
+  wake sh
+
+(* At fd exhaustion accept fails with EMFILE/ENFILE and leaves the
+   connection queued, so the level-triggered listening socket would be
+   reported again at once and shard 0 would spin. Shard 0 therefore holds
+   one spare descriptor: on exhaustion it closes the spare, accepts the
+   connection into the freed slot, closes it (the peer sees EOF) and
+   reopens the spare. [start] opens the first spare, so it exists before
+   [start] returns. *)
+let open_spare () =
+  try Some (Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0)
+  with Unix.Unix_error _ -> None
+
+(* Whether a connection was shed. Accept reports EMFILE before it looks
+   at the queue, so an empty queue shows up only here. Without a spare,
+   only a descriptor freed elsewhere ends the exhaustion. *)
+let shed t lfd =
+  match t.spare with
+  | None ->
+      t.spare <- open_spare ();
+      false
+  | Some s ->
+      Unix.close s;
+      let shed =
+        match Unix.accept ~cloexec:true lfd with
+        | fd, _ ->
+            Unix.close fd;
+            true
+        | exception Unix.Unix_error _ -> false
+      in
+      t.spare <- open_spare ();
+      shed
+
+let accept_all t lfd =
+  let continue = ref true in
+  while !continue do
+    match Unix.accept ~cloexec:true lfd with
+    | fd, _ ->
+        Unix.set_nonblock fd;
+        Atomic.incr t.st_accepted;
+        Atomic.incr t.st_open;
+        assign t fd
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+        continue := shed t lfd
+    | exception Unix.Unix_error (_, _, _) -> continue := false
+  done
 
 (* --- shard event loop --- *)
 
@@ -419,7 +414,7 @@ let adopt t sh fd =
   let c =
     {
       fd;
-      dec = Frame.Decoder.create ~max_payload:t.cfg.max_payload ();
+      dec = Frame.Decoder.create ();
       outq = Queue.create ();
       out_off = 0;
       subscribed = false;
@@ -448,6 +443,9 @@ let shard_loop t sh =
   let on_event fd ~readable ~writable =
     if fd = sh.wake_r then begin
       if readable then drain_wake sh
+    end
+    else if List.mem fd t.listeners then begin
+      if readable then accept_all t fd
     end
     else begin
       (match Hashtbl.find_opt sh.conns fd with
@@ -485,90 +483,6 @@ let shard_loop t sh =
   Hashtbl.reset sh.conns;
   Poller.close sh.poller
 
-(* --- listener --- *)
-
-(* Least-open-connections shard pick. [nconns] is bumped here, at
-   assignment — not at adoption — so a connection burst spreads by the
-   counts it is itself creating, and decremented when the shard closes
-   the connection. Ties break toward the lowest shard id. *)
-let assign t fd =
-  let best = ref t.shards.(0) in
-  let bestn = ref (Atomic.get t.shards.(0).nconns) in
-  Array.iter
-    (fun sh ->
-      let n = Atomic.get sh.nconns in
-      if n < !bestn then begin
-        best := sh;
-        bestn := n
-      end)
-    t.shards;
-  let sh = !best in
-  Atomic.incr sh.nconns;
-  push_atomic sh.inbox_conns fd;
-  wake sh
-
-(* At fd exhaustion accept fails with EMFILE/ENFILE and leaves the
-   connection queued, so the level-triggered listener would report it
-   again at once and spin. The listener therefore holds one spare
-   descriptor: on exhaustion it closes the spare, accepts the connection
-   into the freed slot, closes it (the peer sees EOF) and reopens the
-   spare. [start] opens the first spare, so it exists before [start]
-   returns. *)
-let open_spare () =
-  try Some (Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0)
-  with Unix.Unix_error _ -> None
-
-let listener_loop t poller spare =
-  List.iter (fun fd -> Poller.add poller fd ~read:true ~write:false) t.listeners;
-  let spare = ref spare in
-  (* Whether a connection was shed. Accept reports EMFILE before it
-     looks at the queue, so an empty queue shows up only here. Without a
-     spare, only a descriptor freed elsewhere ends the exhaustion. *)
-  let shed lfd =
-    match !spare with
-    | None ->
-        spare := open_spare ();
-        false
-    | Some s ->
-        Unix.close s;
-        let shed =
-          match Unix.accept ~cloexec:true lfd with
-          | fd, _ ->
-              Unix.close fd;
-              true
-          | exception Unix.Unix_error _ -> false
-        in
-        spare := open_spare ();
-        shed
-  in
-  let on_event lfd ~readable ~writable:_ =
-    if readable then begin
-      let continue = ref true in
-      while !continue do
-        match Unix.accept ~cloexec:true lfd with
-        | fd, _ ->
-            Unix.set_nonblock fd;
-            Atomic.incr t.st_accepted;
-            Atomic.incr t.st_open;
-            assign t fd
-        | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-            continue := shed lfd
-        | exception
-            Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-          ->
-            continue := false
-        | exception Unix.Unix_error (_, _, _) -> continue := false
-      done
-    end
-  in
-  while not (Atomic.get t.stopping) do
-    match Poller.wait poller ~timeout_ms:200 on_event with
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ()
-  done;
-  Option.iter Unix.close !spare;
-  Poller.close poller
-
 (* --- construction / control --- *)
 
 let make_shard cfg sid =
@@ -593,29 +507,23 @@ let make_shard cfg sid =
 
 let create ?secret (cfg : config) rng =
   if cfg.shards < 1 then invalid_arg "Net_server.create: shards must be >= 1";
-  let secret, public =
-    match secret with
-    | Some s -> (s, Tre.Server.public_of_secret cfg.prms s)
-    | None -> Tre.Server.keygen cfg.prms rng
+  let secret =
+    match secret with Some s -> s | None -> fst (Tre.Server.keygen cfg.prms rng)
   in
   {
     cfg;
-    secret;
-    public;
-    frames = Hashtbl.create 64;
-    frames_lock = Mutex.create ();
-    last_epoch = Atomic.make 0;
+    core =
+      Server_core.create ~cache_limit:cfg.archive_cache_limit ~wrap:Frame.encode cfg.prms
+        cfg.timeline secret;
     shards = Array.init cfg.shards (make_shard cfg);
     listeners = [];
+    spare = None;
     udp = None;
     stopping = Atomic.make false;
     shard_domains = [];
-    listener_thread = None;
-    vectored = cfg.vectored && Poller.writev_available;
     st_accepted = Atomic.make 0;
     st_open = Atomic.make 0;
     st_subscribers = Atomic.make 0;
-    st_encoded = Atomic.make 0;
     st_frames_sent = Atomic.make 0;
     st_bytes_sent = Atomic.make 0;
     st_archive_hits = Atomic.make 0;
@@ -628,11 +536,10 @@ let create ?secret (cfg : config) rng =
     st_poll_wakeups = Atomic.make 0;
   }
 
-let public t = t.public
-let current_epoch t = Atomic.get t.last_epoch
+let public t = Server_core.public t.core
+let current_epoch t = Server_core.released t.core
 let backend t = Poller.backend t.shards.(0).poller
 let backend_name t = Poller.backend_name (backend t)
-let vectored t = t.vectored
 
 let listen_unix path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
@@ -658,6 +565,8 @@ let start t =
   | None -> ());
   if !ls = [] then invalid_arg "Net_server.start: no transport configured";
   t.listeners <- !ls;
+  List.iter (fun fd -> Poller.add t.shards.(0).poller fd ~read:true ~write:false) !ls;
+  t.spare <- open_spare ();
   (match t.cfg.udp_dest with
   | Some (addr, port) ->
       let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_DGRAM 0 in
@@ -666,9 +575,7 @@ let start t =
   | None -> ());
   t.shard_domains <-
     Array.to_list
-      (Array.map (fun sh -> Domain.spawn (fun () -> shard_loop t sh)) t.shards);
-  let lp = Poller.create ?backend:t.cfg.backend () in
-  t.listener_thread <- Some (Thread.create (listener_loop t lp) (open_spare ()))
+      (Array.map (fun sh -> Domain.spawn (fun () -> shard_loop t sh)) t.shards)
 
 let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
 
@@ -678,13 +585,7 @@ let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
    without trusting anything but the shared host clock. *)
 let tick t epoch =
   let label = Timeline.label t.cfg.timeline epoch in
-  let upd_frame = frame_for_epoch t epoch in
-  let rec raise_epoch () =
-    let cur = Atomic.get t.last_epoch in
-    if epoch > cur && not (Atomic.compare_and_set t.last_epoch cur epoch) then
-      raise_epoch ()
-  in
-  raise_epoch ();
+  let upd_frame = Server_core.release t.core epoch in
   let tick_frame =
     Frame.encode
       (Netmsg.tick_to_bytes t.cfg.prms
@@ -711,10 +612,10 @@ let stop t =
     Array.iter wake t.shards;
     List.iter Domain.join t.shard_domains;
     t.shard_domains <- [];
-    (match t.listener_thread with Some th -> Thread.join th | None -> ());
-    t.listener_thread <- None;
     List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.listeners;
     t.listeners <- [];
+    Option.iter Unix.close t.spare;
+    t.spare <- None;
     (match t.udp with
     | Some (fd, _) -> ( try Unix.close fd with Unix.Unix_error _ -> ())
     | None -> ());

@@ -12,7 +12,7 @@ type hello = {
   server_sg : Curve.point;
 }
 
-type miss_reason = Unknown_label | Future_refused
+type miss_reason = Server_core.miss = Unknown_label | Future_refused
 
 type tick = { tick_label : string; sent_at_us : int }
 

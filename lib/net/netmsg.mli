@@ -17,9 +17,10 @@ type hello = {
   server_sg : Curve.point;  (** PK_S = (G, sG) *)
 }
 
-type miss_reason =
+(** The archive's miss, sent as {!Server_core.lookup} returns it. *)
+type miss_reason = Server_core.miss =
   | Unknown_label  (** foreign origin or unparsable label *)
-  | Future_refused  (** §3: the epoch has not started — never served *)
+  | Future_refused  (** §3: the epoch has not been released — never served *)
 
 type tick = {
   tick_label : string;  (** the epoch label about to be broadcast *)
@@ -43,8 +44,8 @@ type stats = {
   queue_bytes : int;  (** current sum of pending write bytes *)
   queue_bytes_peak : int;  (** high-water mark of [queue_bytes] *)
   send_syscalls : int;
-      (** write/writev syscalls on the send path — with vectored writes
-          a broadcast epoch costs ~1 per subscriber, not 1 per frame *)
+      (** [writev] syscalls on the send path — a broadcast epoch costs
+          ~1 per subscriber, not 1 per frame *)
   poll_wakeups : int;  (** poller waits that returned ≥ 1 ready event *)
   shard_conns : int list;  (** open connections per shard, in shard order *)
 }

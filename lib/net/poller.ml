@@ -178,7 +178,15 @@ let close = function
   | E e -> ( try Unix.close e.epfd with Unix.Unix_error _ -> ())
 
 let writev_available = writev_available_stub ()
-let writev fd strs ~first_off ~count = writev_stub fd strs first_off count
+
+(* Without writev (the _WIN32 stub) the head frame goes alone; the
+   caller already handles a short write. *)
+let writev fd strs ~first_off ~count =
+  if writev_available then writev_stub fd strs first_off count
+  else
+    Unix.single_write_substring fd strs.(0) first_off
+      (String.length strs.(0) - first_off)
+
 let raise_fd_limit n = set_nofile n true
 let set_fd_limit n = set_nofile n false
 let _ = fd_int

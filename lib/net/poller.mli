@@ -1,5 +1,5 @@
 (** Pluggable readiness poller — the event backend under {!Net_server}'s
-    shard and listener loops.
+    shard loops (shard 0's also watches the listening sockets).
 
     Two backends behind one interface:
 
@@ -68,13 +68,16 @@ val close : t -> unit
     use it: one [writev] drains a whole bounded output queue. *)
 
 val writev_available : bool
+(** Whether the platform has [writev] (everywhere but Windows). *)
 
 val writev : Unix.file_descr -> string array -> first_off:int -> count:int -> int
 (** Write [count] strings from the array in one syscall, skipping the
     first [first_off] bytes of element 0 (the partially-written head
     frame). Returns bytes written; raises [Unix.Unix_error] like
     [Unix.write] (EAGAIN included). At most the stub's iovec cap (64)
-    entries are submitted per call. *)
+    entries are submitted per call. Where [writev] is unavailable it
+    writes only the rest of element 0, a short write the caller's
+    partial-write bookkeeping already covers. *)
 
 val raise_fd_limit : int -> int
 (** Raise the soft open-files limit toward the argument (capped at the

@@ -78,12 +78,13 @@ let enqueue_ciphertext t ct =
 
 let fetch_missing t net server lbl =
   (* Anonymous pull of public data: request then response, both traced.
-     The response rides the same encode-once cache as the broadcast. *)
+     The response rides the same encode-once cache as the broadcast; a
+     miss (foreign label, or an epoch not yet broadcast) ends the pull. *)
   Simnet.send net ~src:t.name ~dst:(Passive_server.name server)
     ~kind:"archive-request" ~bytes:(String.length lbl) (fun () ->
-      match Passive_server.archive_lookup_bytes server net lbl with
-      | None -> ()
-      | Some payload ->
+      match Passive_server.archive_lookup server lbl with
+      | Error _ -> ()
+      | Ok payload ->
           Simnet.send net
             ~src:(Passive_server.name server)
             ~dst:t.name ~kind:"archive-response"

@@ -38,7 +38,8 @@ val enqueue_ciphertext : t -> Tre.ciphertext -> unit
 
 val fetch_missing : t -> Simnet.t -> Passive_server.t -> Tre.time -> unit
 (** Pull an archived update over the network (two messages: request and
-    response), e.g. after a lossy broadcast. *)
+    response), e.g. after a lossy broadcast. An archive miss sends no
+    response and caches nothing. *)
 
 val deliveries : t -> delivery list
 (** Successfully decrypted messages, oldest first. *)

@@ -6,9 +6,9 @@
     is the scalability claim measured by experiment E3. It keeps a public
     archive of {e past} updates (§3, §6: "keep a list of old key updates
     ... at a publicly accessible place") so receivers who missed a
-    broadcast can recover, and it enforces the §3 trust assumption
-    operationally: {!archive_lookup} refuses to produce an update whose
-    release time has not yet arrived.
+    broadcast can recover. Releasing and archiving run on
+    {!Server_core}, the same code as the socket daemon's: an epoch is
+    served once its broadcast has fired, never before.
 
     The server holds no user state whatsoever: the type contains the key
     material, the timeline and counters — nothing about senders or
@@ -16,10 +16,6 @@
     modelling a radio channel the server does not observe). *)
 
 type t
-
-exception Future_update_refused
-(** Raised when an archive lookup asks for an epoch that has not started
-    — the one thing a correct time server must never do (§3). *)
 
 val create :
   ?max_skew:float ->
@@ -34,7 +30,6 @@ val max_skew : t -> float
 
 val name : t -> string
 val public : t -> Tre.Server.public
-val timeline : t -> Timeline.t
 
 val start :
   ?pool:Pool.t ->
@@ -55,18 +50,13 @@ val start :
     domains (the recipients' decode+verify cost, not the server's — the
     server does one signing and one encoding per epoch regardless). *)
 
-val archive_lookup : t -> Simnet.t -> Tre.time -> Tre.update option
-(** The public webpage of old updates. [None] for labels from a foreign
-    timeline; raises {!Future_update_refused} for epochs still in the
-    future. Implementation note mirroring footnote 4 of the paper: the
-    server can regenerate any past update from [s] alone, so the archive
-    needs no storage beyond the secret — but we also keep the issued list
-    so tests can audit that regeneration matches what was broadcast. *)
-
-val archive_lookup_bytes : t -> Simnet.t -> Tre.time -> string option
-(** {!archive_lookup}, serving the cached wire bytes (the exact string
-    that was — or would be — broadcast for that epoch). Same
-    future-refusal and foreign-label behaviour. *)
+val archive_lookup : t -> Tre.time -> (string, Server_core.miss) result
+(** The public webpage of old updates ({!Server_core.lookup}): the exact
+    bytes broadcast for an epoch whose broadcast has fired,
+    [Future_refused] for a later epoch, [Unknown_label] for a label from
+    a foreign timeline. Footnote 4 of the paper: any past update
+    regenerates from [s] alone, so the archive needs no storage beyond
+    the secret. *)
 
 val updates_issued : t -> int
 
@@ -78,8 +68,3 @@ val updates_encoded : t -> int
 val bytes_broadcast : t -> int
 val update_size : t -> int
 (** Wire size of one update — the per-epoch broadcast cost. *)
-
-(**/**)
-
-val secret : t -> Tre.Server.secret
-(** For collusion experiments in tests only. *)

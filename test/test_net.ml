@@ -116,14 +116,15 @@ let fresh_path =
     Printf.sprintf "%s/tre-test-%d-%d.sock" (Filename.get_temp_dir_name ())
       (Unix.getpid ()) !n
 
-let with_server ?(max_queue = 64) ?(ticks_origin = "utc") ?udp_dest ?backend f =
+let with_server ?(shards = 1) ?(max_queue = 64) ?(ticks_origin = "utc") ?udp_dest ?backend
+    f =
   let timeline = Timeline.create ~origin:ticks_origin ~granularity:1.0 () in
   let path = fresh_path () in
   let cfg =
     {
       (Net_server.default_config prms timeline) with
       Net_server.unix_path = Some path;
-      shards = 1;
+      shards;
       max_queue_frames = max_queue;
       backend;
       udp_dest;
@@ -312,6 +313,33 @@ let test_encode_once_fanout backend () =
       Alcotest.(check int) "subscribers" 8 st.Netmsg.subscribers;
       List.iter (fun c -> Unix.close c.fd) peers)
 
+let test_shards_spread backend () =
+  (* Shard 0 accepts for every shard and deals each connection to the
+     one with the fewest; every shard then serves the broadcast. *)
+  with_server ~shards:3 ~backend (fun srv path timeline ->
+      let peers = List.init 6 (fun _ -> connect path) in
+      List.iter (fun c -> ignore (subscribe c)) peers;
+      Alcotest.(check (list int)) "two connections per shard" [ 2; 2; 2 ]
+        (Net_server.stats srv).Netmsg.shard_conns;
+      Net_server.tick srv 1;
+      let label = Timeline.label timeline 1 in
+      List.iter
+        (fun c ->
+          (match read_frames c 2 with
+          | [ t; u ] -> (
+              (match Netmsg.tick_of_bytes prms t with
+              | Ok tk -> Alcotest.(check string) "tick label" label tk.Netmsg.tick_label
+              | Error e -> Alcotest.failf "bad tick: %s" e);
+              match Tre.update_of_bytes prms u with
+              | Ok upd ->
+                  Alcotest.(check string) "update label" label upd.Tre.update_time;
+                  Alcotest.(check bool) "update verifies" true
+                    (Tre.verify_update prms (Net_server.public srv) upd)
+              | Error e -> Alcotest.failf "bad update: %s" e)
+          | fs -> Alcotest.failf "expected tick+update, got %d" (List.length fs));
+          Unix.close c.fd)
+        peers)
+
 let test_archive_endpoint backend () =
   with_server ~backend (fun srv path timeline ->
       let sub = connect path in
@@ -470,7 +498,7 @@ let test_attack_kind_confusion backend () =
             (i + 1) st.Netmsg.protocol_errors)
         attacks)
 
-(* At fd exhaustion the listener must shed a queued connection (the
+(* At fd exhaustion shard 0 must shed a queued connection (the
    client sees EOF) and go idle, not spin on a level-triggered accept
    that keeps failing with EMFILE. The soft RLIMIT_NOFILE comes down and
    placeholder descriptors fill every free slot below it, so the
@@ -509,7 +537,7 @@ let test_fd_exhaustion_sheds backend () =
           Unix.sleepf 0.5;
           let spent = cpu () -. before in
           if spent > 0.1 then
-            Alcotest.failf "listener busy at fd exhaustion: %.3f s CPU in 0.5 s" spent))
+            Alcotest.failf "accept loop busy at fd exhaustion: %.3f s CPU in 0.5 s" spent))
 
 (* --------------------------------------------------- poller backend *)
 
@@ -661,6 +689,7 @@ let () =
         [
           ("subscribe/tick/verify", test_subscribe_tick_verify);
           ("encode-once fan-out", test_encode_once_fanout);
+          ("shards spread", test_shards_spread);
           ("archive endpoint", test_archive_endpoint);
           ("back-pressure eviction", test_backpressure_evicts_slow_reader);
           ("fd exhaustion sheds, no spin", test_fd_exhaustion_sheds);

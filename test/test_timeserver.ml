@@ -206,17 +206,90 @@ let test_single_update_serves_all () =
 let test_no_early_release () =
   let net, tl, server, _ = run_system ~n_clients:1 ~epochs:3 ~loss:0.0 in
   Simnet.run_until net 15.0 (* inside epoch 1 *);
-  (* Archive gives epoch 1 (started) but refuses epoch 2 (future). *)
-  (match Passive_server.archive_lookup server net (Timeline.label tl 1) with
-  | Some upd ->
-      Alcotest.(check bool) "past update valid" true
-        (Tre.verify_update prms (Passive_server.public server) upd)
-  | None -> Alcotest.fail "archive must serve past epochs");
-  Alcotest.check_raises "future refused" Passive_server.Future_update_refused
-    (fun () ->
-      ignore (Passive_server.archive_lookup server net (Timeline.label tl 2)));
+  (* Archive gives epoch 1 (broadcast) but refuses epoch 2 (future). *)
+  (match Passive_server.archive_lookup server (Timeline.label tl 1) with
+  | Ok bytes -> (
+      match Tre.update_of_bytes prms bytes with
+      | Ok upd ->
+          Alcotest.(check bool) "past update valid" true
+            (Tre.verify_update prms (Passive_server.public server) upd)
+      | Error e -> Alcotest.failf "archive bytes: %s" e)
+  | Error _ -> Alcotest.fail "archive must serve past epochs");
+  Alcotest.(check bool) "future refused" true
+    (Passive_server.archive_lookup server (Timeline.label tl 2)
+    = Error Server_core.Future_refused);
   Alcotest.(check bool) "foreign label" true
-    (Passive_server.archive_lookup server net "mars#1" = None)
+    (Passive_server.archive_lookup server "mars#1" = Error Server_core.Unknown_label)
+
+let test_future_pull_is_a_miss () =
+  (* A pull of an epoch not yet broadcast gets no response and the run
+     goes on: the later broadcasts still arrive. *)
+  let net, tl, server, clients = run_system ~n_clients:1 ~epochs:3 ~loss:0.0 in
+  let client = List.hd clients in
+  Simnet.run_until net 15.0;
+  Client.fetch_missing client net server (Timeline.label tl 3);
+  Simnet.run net;
+  Alcotest.(check int) "all epochs cached" 3 (Client.updates_cached client);
+  Alcotest.(check int) "no archive response" 0
+    (List.length
+       (List.filter
+          (fun (m : Simnet.message) -> m.Simnet.kind = "archive-response")
+          (Simnet.sent_by net "time-server")))
+
+let test_archive_follows_broadcast () =
+  (* Under clock skew a broadcast fires after its epoch starts; the
+     archive must not serve the epoch in between. A first run records
+     when each broadcast fires and what it carries; a second, identical
+     run looks epoch 2 up before and after its broadcast. *)
+  let system () =
+    let net = Simnet.create ~seed:"late" ~latency:0.0 ~jitter:0.0 () in
+    let tl = Timeline.create ~granularity:10.0 () in
+    let server = Passive_server.create ~max_skew:5.0 prms ~net ~timeline:tl ~name:"late" in
+    let heard = ref [] in
+    Passive_server.start server ~net ~first_epoch:1 ~epochs:3
+      ~recipients:[ ("observer", fun b -> heard := (Simnet.now net, b) :: !heard) ];
+    (net, tl, server, heard)
+  in
+  let net, _, _, heard = system () in
+  Simnet.run net;
+  let fired, bytes = List.nth (List.rev !heard) 1 in
+  let net, tl, server, _ = system () in
+  let label = Timeline.label tl 2 in
+  Simnet.run_until net ((Timeline.start_of tl 2 +. fired) /. 2.0);
+  Alcotest.(check bool) "refused after its start, before its broadcast" true
+    (Passive_server.archive_lookup server label = Error Server_core.Future_refused);
+  Simnet.run_until net (fired +. 0.001);
+  Alcotest.(check bool) "the broadcast bytes, once it fired" true
+    (Passive_server.archive_lookup server label = Ok bytes)
+
+let test_core_regenerates () =
+  (* Footnote 4: past updates regenerate from s alone. A cache of two
+     holds fewer epochs than are released, and a restarted core on the
+     same secret, with no archive, serves the same bytes once its
+     watermark has reached them. *)
+  let tl = Timeline.create ~granularity:10.0 () in
+  let secret, _ = Tre.Server.keygen prms (Hashing.Drbg.create ~seed:"footnote-4" ()) in
+  let core = Server_core.create ~cache_limit:2 ~wrap:Fun.id prms tl secret in
+  let released = List.init 5 (fun i -> Server_core.release core (i + 1)) in
+  let serves core =
+    List.iteri
+      (fun i b ->
+        Alcotest.(check bool) (Printf.sprintf "epoch %d served" (i + 1)) true
+          (Server_core.lookup core (Timeline.label tl (i + 1)) = Ok b))
+      released
+  in
+  serves core;
+  Alcotest.(check bool) "evicted epochs regenerated" true
+    (Server_core.updates_encoded core > 5);
+  Alcotest.(check bool) "epoch 6 refused" true
+    (Server_core.lookup core (Timeline.label tl 6) = Error Server_core.Future_refused);
+  Alcotest.(check bool) "foreign label" true
+    (Server_core.lookup core "mars#1" = Error Server_core.Unknown_label);
+  let restarted = Server_core.create ~cache_limit:2 ~wrap:Fun.id prms tl secret in
+  Alcotest.(check bool) "restart refuses until released" true
+    (Server_core.lookup restarted (Timeline.label tl 1) = Error Server_core.Future_refused);
+  ignore (Server_core.release restarted 5);
+  serves restarted
 
 let test_missed_update_recovery () =
   (* With a very lossy broadcast channel some client misses an update; it
@@ -289,13 +362,13 @@ let test_recovery_out_of_order_and_duplicates () =
     [ 1; 2; 3 ];
   (* duplicate delivery on the BROADCAST path is idempotent too: replay
      a wire frame the client already processed *)
-  (match Passive_server.archive_lookup_bytes server net (Timeline.label tl 1) with
-  | Some payload ->
+  (match Passive_server.archive_lookup server (Timeline.label tl 1) with
+  | Ok payload ->
       Client.on_wire fresh payload;
       Client.on_wire fresh payload;
       Alcotest.(check int) "cache unchanged by replay" 3
         (Client.updates_cached fresh)
-  | None -> Alcotest.fail "archive bytes missing")
+  | Error _ -> Alcotest.fail "archive bytes missing")
 
 let test_broadcast_encode_once () =
   (* The per-epoch serialization count must not scale with the audience:
@@ -381,6 +454,11 @@ let () =
           Alcotest.test_case "end-to-end release" `Quick test_end_to_end_release;
           Alcotest.test_case "single update serves all" `Quick test_single_update_serves_all;
           Alcotest.test_case "no early release" `Quick test_no_early_release;
+          Alcotest.test_case "future pull is a miss" `Quick test_future_pull_is_a_miss;
+          Alcotest.test_case "archive follows the broadcast" `Quick
+            test_archive_follows_broadcast;
+          Alcotest.test_case "footnote 4: the core regenerates" `Quick
+            test_core_regenerates;
           Alcotest.test_case "missed update recovery" `Quick test_missed_update_recovery;
           Alcotest.test_case "recovery out-of-order + duplicates" `Quick
             test_recovery_out_of_order_and_duplicates;
