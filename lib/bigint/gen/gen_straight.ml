@@ -5,23 +5,34 @@
      gen_straight.exe K... > limbs_straight.ml
 
    Each kernel is the fully unrolled form of the corresponding [Limbs]
-   loop over base-2^26 limbs, with the same arithmetic and the same
-   bounds, so both return the canonical residue:
+   loop over base-2^29 limbs, with the same arithmetic and the same
+   bounds, so both return the canonical residue. Limbs are widened with
+   [Int64.of_int] as they are read (operand limbs and the limbs of m once
+   each) and every product, column sum, carry and borrow is an [Int64]
+   operation: the generated file rebinds
+   [+ - ~- * land lor lsl lsr] to their [Int64] primitives, and since no
+   local escapes, ocamlopt keeps them unboxed in registers, with no tag
+   handling per product. Limbs go back with [Int64.to_int]. The
+   Montgomery constant arrives as a native int and is widened inside:
+   an [Int64] argument would be boxed.
 
-   - [mul]/[sqr] load every operand limb into a local at entry (so [dst]
-     may alias either operand), compute each product-scanning column as
-     one expression with its Montgomery digit in a local, store each
-     output limb as soon as its column completes while threading the
-     trial borrow of the final conditional subtraction, and finish with
-     the masked subtraction. Squaring pre-doubles each column's cross
-     products. A column sums at most 2k products of < 2^52 plus a carry,
-     the bound the loops rely on.
+   - [mul]/[sqr] load every operand limb and every limb of m into locals
+     at entry (so [dst] may alias either operand), compute each
+     product-scanning column as one expression with its Montgomery digit
+     in a local, store each output limb as soon as its column completes
+     while threading the trial borrow of the final conditional
+     subtraction, and finish with the masked subtraction. Squaring
+     pre-doubles each column's cross products. Bound: a column sums at
+     most 2k products of < 2^58 plus a carry, so at k = 9 it stays below
+     2^63; accumulators are shifted logically all the same, as in the
+     loops.
    - [add]/[sub]/[neg] run their carry or borrow chains and the
      conditional correction limb by limb. Limb i of the result depends
      only on limbs <= i of the operands and is written after they are
-     read, so [dst] may alias either operand. *)
+     read, so [dst] may alias either operand. A borrow is the sign bit of
+     a difference of single limbs. *)
 
-let kb = 26
+let kb = 29
 let out = Buffer.create 65536
 
 let line fmt =
@@ -38,42 +49,47 @@ let range lo hi = List.init (max 0 (hi - lo + 1)) (fun d -> lo + d)
 let masked_sub k take =
   line "  let mask = -(%s) in" take;
   for i = 0 to k - 1 do
-    let bor = if i = 0 then "" else " - ((d lsr 62) land 1)" in
-    line "  let d = dst.!(%d) - (m.!(%d) land mask)%s in" i i bor;
-    line "  dst.!(%d) <- d land kmask%s" i (if i = k - 1 then "" else ";")
+    let bor = if i = 0 then "" else " - (d lsr 63)" in
+    line "  let d = Int64.of_int dst.!(%d) - (m%d land mask)%s in" i i bor;
+    line "  dst.!(%d) <- Int64.to_int (d land kmask)%s" i (if i = k - 1 then "" else ";")
   done
 
 let loads k name =
-  List.iter (fun i -> line "  let %s%d = %s.!(%d) in" name i name i) (range 0 (k - 1))
+  List.iter (fun i -> line "  let %s%d = Int64.of_int %s.!(%d) in" name i name i) (range 0 (k - 1))
 
 (* Shared by mul and sqr: [column c] is the operand part of column c as
    a list of parenthesized terms. The low columns pick the Montgomery
-   digit u_c that zeroes the column; the high columns emit result limbs
-   and thread the trial borrow of r - m. *)
+   digit u_c that zeroes the column (only the low 29 bits of v * m'
+   matter, so v goes in unmasked); the high columns emit result limbs
+   and thread the trial borrow of r - m. The carry of the previous
+   column is added last, so the column-to-column dependency chain runs
+   through one addition, not through the whole sum. *)
 let montgomery_columns k column =
+  line "  let m' = Int64.of_int m' in";
+  loads k "m";
   for c = 0 to k - 1 do
     let carry = if c = 0 then [] else [ "acc" ] in
-    let reds = List.map (fun j -> Printf.sprintf "u%d * m.!(%d)" j (c - j)) (range 0 (c - 1)) in
+    let reds = List.map (fun j -> Printf.sprintf "u%d * m%d" j (c - j)) (range 0 (c - 1)) in
     let reds = if reds = [] then [] else [ "(" ^ sum reds ^ ")" ] in
-    line "  let v = %s in" (sum (carry @ column c @ reds));
-    line "  let u%d = ((v land kmask) * m') land kmask in" c;
-    line "  let acc = (v + (u%d * m.!(0))) lsr %d in" c kb
+    line "  let v = %s in" (sum (column c @ reds @ carry));
+    line "  let u%d = (v * m') land kmask in" c;
+    line "  let acc = (v + (u%d * m0)) lsr %d in" c kb
   done;
   for c = k to (2 * k) - 1 do
     let r = c - k in
     let reds =
-      List.map (fun j -> Printf.sprintf "u%d * m.!(%d)" j (c - j)) (range (c - k + 1) (k - 1))
+      List.map (fun j -> Printf.sprintf "u%d * m%d" j (c - j)) (range (c - k + 1) (k - 1))
     in
     let reds = if reds = [] then [] else [ "(" ^ sum reds ^ ")" ] in
-    line "  let v = %s in" (sum ("acc" :: (column c @ reds)));
+    line "  let v = %s in" (sum (column c @ reds @ [ "acc" ]));
     line "  let r = v land kmask in";
-    line "  dst.!(%d) <- r;" r;
+    line "  dst.!(%d) <- Int64.to_int r;" r;
     line "  let acc = v lsr %d in" kb;
     let bor = if r = 0 then "" else " - bor" in
-    line "  let bor = ((r - m.!(%d)%s) lsr 62) land 1 in" r bor
+    line "  let bor = (r - m%d%s) lsr 63 in" r bor
   done;
   (* value + acc*R >= m  <=>  acc = 1 or no borrow. *)
-  masked_sub k "acc lor (1 - bor)"
+  masked_sub k "acc lor (1L - bor)"
 
 let emit_mul k =
   line "let mul_%d (m : int array) m' (dst : int array) (a : int array) (b : int array) =" k;
@@ -100,30 +116,31 @@ let emit_sqr k =
 
 let emit_add k =
   line "let add_%d (m : int array) (dst : int array) (a : int array) (b : int array) =" k;
+  loads k "m";
   for i = 0 to k - 1 do
-    let carry = if i = 0 then "" else " + (s lsr " ^ string_of_int kb ^ ")" in
-    line "  let s = a.!(%d) + b.!(%d)%s in" i i carry;
+    let carry = if i = 0 then "" else Printf.sprintf " + (s lsr %d)" kb in
+    line "  let s = Int64.of_int a.!(%d) + Int64.of_int b.!(%d)%s in" i i carry;
     line "  let r = s land kmask in";
-    line "  dst.!(%d) <- r;" i;
+    line "  dst.!(%d) <- Int64.to_int r;" i;
     let bor = if i = 0 then "" else " - bor" in
-    line "  let bor = ((r - m.!(%d)%s) lsr 62) land 1 in" i bor
+    line "  let bor = (r - m%d%s) lsr 63 in" i bor
   done;
-  masked_sub k (Printf.sprintf "(s lsr %d) lor (1 - bor)" kb);
+  masked_sub k (Printf.sprintf "(s lsr %d) lor (1L - bor)" kb);
   line ""
 
 let emit_sub k =
   line "let sub_%d (m : int array) (dst : int array) (a : int array) (b : int array) =" k;
   for i = 0 to k - 1 do
-    let bor = if i = 0 then "" else " - ((d lsr 62) land 1)" in
-    line "  let d = a.!(%d) - b.!(%d)%s in" i i bor;
-    line "  dst.!(%d) <- d land kmask;" i
+    let bor = if i = 0 then "" else " - (d lsr 63)" in
+    line "  let d = Int64.of_int a.!(%d) - Int64.of_int b.!(%d)%s in" i i bor;
+    line "  dst.!(%d) <- Int64.to_int (d land kmask);" i
   done;
   (* Add m back iff the subtraction went negative. *)
-  line "  let mask = -((d lsr 62) land 1) in";
+  line "  let mask = -(d lsr 63) in";
   for i = 0 to k - 1 do
-    let carry = if i = 0 then "" else " + (s lsr " ^ string_of_int kb ^ ")" in
-    line "  let s = dst.!(%d) + (m.!(%d) land mask)%s in" i i carry;
-    line "  dst.!(%d) <- s land kmask%s" i (if i = k - 1 then "" else ";")
+    let carry = if i = 0 then "" else Printf.sprintf " + (s lsr %d)" kb in
+    line "  let s = Int64.of_int dst.!(%d) + (Int64.of_int m.!(%d) land mask)%s in" i i carry;
+    line "  dst.!(%d) <- Int64.to_int (s land kmask)%s" i (if i = k - 1 then "" else ";")
   done;
   line ""
 
@@ -132,11 +149,11 @@ let emit_neg k =
   loads k "a";
   line "  let nz = %s in" (String.concat " lor " (List.map (Printf.sprintf "a%d") (range 0 (k - 1))));
   (* all-ones iff a <> 0 *)
-  line "  let mask = -(((nz lor -nz) lsr 62) land 1) in";
+  line "  let mask = -((nz lor -nz) lsr 63) in";
   for i = 0 to k - 1 do
-    let bor = if i = 0 then "" else " - ((d lsr 62) land 1)" in
-    line "  let d = m.!(%d) - a%d%s in" i i bor;
-    line "  dst.!(%d) <- d land kmask land mask%s" i (if i = k - 1 then "" else ";")
+    let bor = if i = 0 then "" else " - (d lsr 63)" in
+    line "  let d = Int64.of_int m.!(%d) - a%d%s in" i i bor;
+    line "  dst.!(%d) <- Int64.to_int (d land kmask land mask)%s" i (if i = k - 1 then "" else ";")
   done;
   line ""
 
@@ -147,7 +164,17 @@ let () =
   line "external ( .!() ) : int array -> int -> int = \"%%array_unsafe_get\"";
   line "external ( .!()<- ) : int array -> int -> int -> unit = \"%%array_unsafe_set\"";
   line "";
-  line "let kmask = (1 lsl %d) - 1" kb;
+  line "(* From here on every arithmetic operator is the unboxed Int64 one. *)";
+  line "external ( + ) : int64 -> int64 -> int64 = \"%%int64_add\"";
+  line "external ( - ) : int64 -> int64 -> int64 = \"%%int64_sub\"";
+  line "external ( ~- ) : int64 -> int64 = \"%%int64_neg\"";
+  line "external ( * ) : int64 -> int64 -> int64 = \"%%int64_mul\"";
+  line "external ( land ) : int64 -> int64 -> int64 = \"%%int64_and\"";
+  line "external ( lor ) : int64 -> int64 -> int64 = \"%%int64_or\"";
+  line "external ( lsl ) : int64 -> int -> int64 = \"%%int64_lsl\"";
+  line "external ( lsr ) : int64 -> int -> int64 = \"%%int64_lsr\"";
+  line "";
+  line "let kmask = 0x%xL" ((1 lsl kb) - 1);
   line "";
   line "type t = {";
   line "  mul : int array -> int -> int array -> int array -> int array -> unit;";

@@ -10,43 +10,49 @@
    per-domain scratch record ({!Domain.DLS}), so concurrent use from a
    {!Pool} of domains is race-free by construction.
 
-   The limb base is 2^26, not {!Nat}'s 2^31, and that choice is the
-   performance core of the module: 26-bit limbs make every partial
-   product fit in 52 bits, so a 62-bit native int can accumulate hundreds
-   of them before overflowing. Multiplication and squaring therefore run
-   *fused product scanning*: one left-to-right pass over the 2k columns
-   sums each column's operand products and Montgomery-digit products as
-   pure multiply-accumulate, with no carry extraction inside a column,
-   and shifts only the column's carry into the next. That breaks the
-   loop-carried add->mask->shift dependency chain that serializes a
-   word-by-word CIOS at base 2^31. (Bound: a column sums at most 2k
-   products of < 2^52 plus one carry, safe in 62 bits for any k up to
-   ~500 — far beyond the 20 limbs of a 512-bit modulus.)
+   The limbs are 29 bits wide, not {!Nat}'s 31, and every product and
+   column sum runs in unboxed [Int64]; that pairing is the performance
+   core of the module. On a tagged native int, [a * b] costs an untag, a
+   decrement, the [imul] and a retag, and every sum a tag fix-up; an
+   [Int64] local that does not escape compiles to a plain [imul]/[add]/
+   [shr] on a register. The 64 untagged bits also leave room for 29-bit
+   limbs: every partial product is below 2^58, and a 256-bit p takes 9
+   limbs (81 operand products per multiplication), where a tagged int,
+   with 62 bits for a column sum, cannot hold the 18 products of a
+   9-limb column. Multiplication and squaring therefore run *fused
+   product scanning*: one left-to-right pass over
+   the 2k columns sums each column's operand products and
+   Montgomery-digit products as pure multiply-accumulate, with no carry
+   extraction inside a column, and shifts only the column's carry into
+   the next. That breaks the loop-carried add->mask->shift dependency
+   chain of a word-by-word CIOS. Bound: a column sums at most 2k products
+   of < 2^58 plus one carry, which stays below 2^64 for k <= 31, so the
+   accumulators are read as unsigned and {!create} refuses moduli wider
+   than 31 limbs (899 bits); the widest named set, std160, has 18.
 
-   Two shapes of the reduced kernels, one per width. At 10 limbs (mid128,
-   mid128b, any 235- to 260-bit modulus) [mul_into], [sqr_into],
+   Two shapes of the reduced kernels, one per width. At 9 limbs (mid128,
+   mid128b, any 233- to 261-bit modulus) [mul_into], [sqr_into],
    [add_into], [sub_into] and [neg_into] run the straight-line kernels
    that gen/gen_straight.ml generates into [Limbs_straight] (the width
    list is the generator's argument in this directory's dune file):
-   every operand limb in a local, each column one expression, no loop
-   counters, no u-digit store. Every other width runs the loops below:
-   20 limbs (std160), where the straight-line shape spills and its
-   measured gain is unresolved (DESIGN.md §1.1), and 4 limbs (toy64,
-   toy64b, the unit-test sets). Both shapes return the canonical
-   residue, so the choice never changes a value.
+   every operand limb and every limb of m in a local, each column one
+   expression, no loop counters, no u-digit store. Every other width
+   runs the loops below: 18 limbs (std160) and 4 limbs (toy64, toy64b,
+   the unit-test sets). Both shapes return the canonical residue, so
+   the choice never changes a value.
 
-   Representation invariant: an [elt] is exactly [k] base-2^26 limbs,
+   Representation invariant: an [elt] is exactly [k] base-2^29 limbs,
    little-endian, holding the canonical Montgomery residue value*R mod m
-   in [0, m), R = 2^(26k). Because every kernel fully reduces its result,
+   in [0, m), R = 2^(29k). Because every kernel fully reduces its result,
    the representation of a given field value is unique — which is what
    makes "bit-identical to the generic {!Modarith.Mont} reference" a
    meaningful and testable contract regardless of the internal algorithm.
 
    Conditional subtractions are branchless: borrows are extracted from
-   the sign bit of the 63-bit native int ([(d lsr 62) land 1]) and the
-   subtrahend is selected with a full-width mask, so no reduced kernel
-   branches on its operands at any width (the inversion and the
-   exponent-driven window walk of [pow_into] do).
+   the sign bit of a difference of single limbs and the subtrahend is
+   selected with a full-width mask, so no reduced kernel branches on its
+   operands at any width (the inversion and the exponent-driven window
+   walk of [pow_into] do).
 
    The limb loops use unchecked array accesses ([Array.unsafe_get]/
    [unsafe_set] — declared [external] so they inline on a non-flambda
@@ -58,16 +64,19 @@
 external ( .!() ) : int array -> int -> int = "%array_unsafe_get"
 external ( .!()<- ) : int array -> int -> int -> unit = "%array_unsafe_set"
 
-(* Kernel limb base: 26 bits (see the header comment for why not 31). *)
-let kb = 26
+(* Kernel limb base: 29 bits (see the header comment for why not 31). *)
+let kb = 29
 let kbase = 1 lsl kb
 let kmask = kbase - 1
+
+(* The widest context: see the bound in the header comment. *)
+let max_limbs = 31
 
 type ctx = {
   m : Bigint.t;
   ml : int array; (* the modulus, exactly k limbs *)
   k : int;
-  m0_inv_neg : int; (* -m^{-1} mod 2^26 *)
+  m0_inv_neg : int; (* -m^{-1} mod 2^29; each kernel widens it *)
   one_m : int array; (* R mod m — the Montgomery one, k limbs *)
   r2 : int array; (* R^2 mod m, k limbs *)
   r3 : int array; (* R^3 mod m, k limbs: single-conversion inversion *)
@@ -138,171 +147,176 @@ let equal ctx a b =
   done;
   !d = 0
 
-(* dst <- dst - (m masked by -take); branchless second half of the
-   conditional subtraction (the caller has already decided [take]). *)
+(* --- the loop kernels ---
+
+   Every limb is read with [Int64.of_int] and written back with
+   [Int64.to_int]; every product, sum, carry and borrow in between is an
+   [Int64] operation on a local or a local [ref] that never escapes, so
+   ocamlopt keeps it untagged in a register. Column accumulators can
+   pass 2^63 at the widest contexts, so they are unsigned: only
+   [Int64.logand] and [Int64.shift_right_logical] read them. A borrow is
+   the sign bit of a difference of single limbs ([d >>> 63], |d| < 2^30).
+   A flag crossing a function boundary is a native int: an [Int64]
+   argument would be boxed. *)
+
+let kmask64 = Int64.of_int kmask
+
+(* dst <- dst - (m masked by -take), take = 0 or 1; branchless second
+   half of the conditional subtraction (the caller has already decided
+   [take]). *)
 let masked_sub_in ctx dst take =
   let k = ctx.k and m = ctx.ml in
-  let mask = -take in
-  let bor = ref 0 in
+  let mask = Int64.of_int (-take) in
+  let bor = ref 0L in
   for i = 0 to k - 1 do
-    let d = dst.!(i) - (m.!(i) land mask) - !bor in
-    bor := (d lsr 62) land 1;
-    dst.!(i) <- d land kmask
+    let mi = Int64.logand (Int64.of_int m.!(i)) mask in
+    let d = Int64.sub (Int64.sub (Int64.of_int dst.!(i)) mi) !bor in
+    bor := Int64.shift_right_logical d 63;
+    dst.!(i) <- Int64.to_int (Int64.logand d kmask64)
   done
 
-(* dst (k limbs, value dst + extra*R) minus m if that is >= m; branchless.
-   Requires dst + extra*R < 2m. *)
-let cond_sub_in ctx dst extra =
-  let k = ctx.k and m = ctx.ml in
-  let bor = ref 0 in
-  for i = 0 to k - 1 do
-    let d = dst.!(i) - m.!(i) - !bor in
-    bor := (d lsr 62) land 1
-  done;
-  (* dst + extra*R >= m  <=>  extra = 1 or no borrow. *)
-  masked_sub_in ctx dst (extra lor (1 - !bor))
-
+(* The trial borrow of r - m is threaded through the sum, so the
+   conditional subtraction needs no separate compare pass:
+   a + b >= m  <=>  carry out or no borrow. *)
 let add_loop ctx dst a b =
-  let k = ctx.k in
-  let carry = ref 0 in
+  let k = ctx.k and m = ctx.ml in
+  let carry = ref 0L and bor = ref 0L in
   for i = 0 to k - 1 do
-    let s = a.!(i) + b.!(i) + !carry in
-    dst.!(i) <- s land kmask;
-    carry := s lsr kb
+    let s = Int64.add (Int64.add (Int64.of_int a.!(i)) (Int64.of_int b.!(i))) !carry in
+    let r = Int64.logand s kmask64 in
+    dst.!(i) <- Int64.to_int r;
+    carry := Int64.shift_right_logical s kb;
+    bor := Int64.shift_right_logical (Int64.sub (Int64.sub r (Int64.of_int m.!(i))) !bor) 63
   done;
-  cond_sub_in ctx dst !carry
+  masked_sub_in ctx dst (Int64.to_int (Int64.logor !carry (Int64.sub 1L !bor)))
 
 let sub_loop ctx dst a b =
   let k = ctx.k and m = ctx.ml in
-  let bor = ref 0 in
+  let bor = ref 0L in
   for i = 0 to k - 1 do
-    let d = a.!(i) - b.!(i) - !bor in
-    bor := (d lsr 62) land 1;
-    dst.!(i) <- d land kmask
+    let d = Int64.sub (Int64.sub (Int64.of_int a.!(i)) (Int64.of_int b.!(i))) !bor in
+    bor := Int64.shift_right_logical d 63;
+    dst.!(i) <- Int64.to_int (Int64.logand d kmask64)
   done;
   (* Add m back iff the subtraction went negative; masked, branchless. *)
-  let mask = - !bor in
-  let carry = ref 0 in
+  let mask = Int64.neg !bor in
+  let carry = ref 0L in
   for i = 0 to k - 1 do
-    let s = dst.!(i) + (m.!(i) land mask) + !carry in
-    dst.!(i) <- s land kmask;
-    carry := s lsr kb
+    let mi = Int64.logand (Int64.of_int m.!(i)) mask in
+    let s = Int64.add (Int64.add (Int64.of_int dst.!(i)) mi) !carry in
+    dst.!(i) <- Int64.to_int (Int64.logand s kmask64);
+    carry := Int64.shift_right_logical s kb
   done
 
 let neg_loop ctx dst a =
   let k = ctx.k and m = ctx.ml in
-  let orv = ref 0 in
+  let orv = ref 0L in
   for i = 0 to k - 1 do
-    orv := !orv lor a.(i)
+    orv := Int64.logor !orv (Int64.of_int a.!(i))
   done;
-  (* mask = all-ones iff a <> 0 (branchless nonzero test on 63-bit ints). *)
-  let nz = ((!orv lor - !orv) lsr 62) land 1 in
-  let mask = -nz in
-  let bor = ref 0 in
+  (* mask = all-ones iff a <> 0 (branchless nonzero test). *)
+  let mask = Int64.neg (Int64.shift_right_logical (Int64.logor !orv (Int64.neg !orv)) 63) in
+  let bor = ref 0L in
   for i = 0 to k - 1 do
-    let d = m.!(i) - a.!(i) - !bor in
-    bor := (d lsr 62) land 1;
-    dst.!(i) <- d land kmask land mask
+    let d = Int64.sub (Int64.sub (Int64.of_int m.!(i)) (Int64.of_int a.!(i))) !bor in
+    bor := Int64.shift_right_logical d 63;
+    dst.!(i) <- Int64.to_int (Int64.logand (Int64.logand d kmask64) mask)
   done
 
 (* Montgomery multiplication: dst <- a*b*R^{-1} mod m, canonical.
 
    Product scanning fused with the reduction: columns are processed left
    to right with a single register accumulator; at column c < k the
-   Montgomery digit u_c is chosen to zero the column, at column c >= k
+   Montgomery digit u_c is chosen to zero the column (only the low 29
+   bits of acc * m' matter, so acc goes in unmasked), at column c >= k
    the result limb drops out. One pass, no wide buffer — the only memory
    written is the k-limb u-digit store (per-domain scratch) and [dst].
-   Accumulator bound: a column sums at most 2k products of < 2^52 plus a
-   carry < 2^32, safe in 62 bits for k up to ~500.
+   Accumulator bound: a column sums at most 2k products of < 2^58 plus a
+   carry < 2^35, below 2^64 for k <= 31 ({!create} enforces it).
 
    [dst] may alias [a] and/or [b]: dst.(c-k) is written at column c, and
    columns c' > c only read operand limbs with index > c-k.
    Allocation-free. *)
 let mul_loop ctx dst a b =
   let k = ctx.k and m = ctx.ml in
-  let m' = ctx.m0_inv_neg in
+  let m' = Int64.of_int ctx.m0_inv_neg and m0 = Int64.of_int m.!(0) in
   let u = (scratch k).ws in
-  let acc = ref 0 in
+  let acc = ref 0L in
   for c = 0 to k - 1 do
-    (* Two independent accumulation chains per column (operand products
-       and u*m digits) halve the critical add-latency path; each stays
-       under k * 2^52, well within the 62-bit budget. *)
-    let s = ref 0 and t = ref 0 in
     for i = 0 to c do
-      s := !s + (a.!(i) * b.!(c - i))
+      acc := Int64.add !acc (Int64.mul (Int64.of_int a.!(i)) (Int64.of_int b.!(c - i)))
     done;
     for j = 0 to c - 1 do
-      t := !t + (u.!(j) * m.!(c - j))
+      acc := Int64.add !acc (Int64.mul (Int64.of_int u.!(j)) (Int64.of_int m.!(c - j)))
     done;
-    let av = !acc + !s + !t in
-    let uc = (av land kmask) * m' land kmask in
-    u.!(c) <- uc;
-    acc := (av + (uc * m.!(0))) lsr kb
+    let uc = Int64.logand (Int64.mul !acc m') kmask64 in
+    u.!(c) <- Int64.to_int uc;
+    acc := Int64.shift_right_logical (Int64.add !acc (Int64.mul uc m0)) kb
   done;
   (* The high columns also thread the trial borrow of the final
      conditional subtraction, so no separate compare pass is needed. *)
-  let bor = ref 0 in
+  let bor = ref 0L in
   for c = k to (2 * k) - 1 do
-    let s = ref 0 and t = ref 0 in
     for i = c - k + 1 to k - 1 do
-      s := !s + (a.!(i) * b.!(c - i))
+      acc := Int64.add !acc (Int64.mul (Int64.of_int a.!(i)) (Int64.of_int b.!(c - i)))
     done;
     for j = c - k + 1 to k - 1 do
-      t := !t + (u.!(j) * m.!(c - j))
+      acc := Int64.add !acc (Int64.mul (Int64.of_int u.!(j)) (Int64.of_int m.!(c - j)))
     done;
-    let av = !acc + !s + !t in
-    let limb = av land kmask in
-    dst.!(c - k) <- limb;
-    acc := av lsr kb;
-    let d = limb - m.!(c - k) - !bor in
-    bor := (d lsr 62) land 1
+    let limb = Int64.logand !acc kmask64 in
+    dst.!(c - k) <- Int64.to_int limb;
+    acc := Int64.shift_right_logical !acc kb;
+    let d = Int64.sub (Int64.sub limb (Int64.of_int m.!(c - k))) !bor in
+    bor := Int64.shift_right_logical d 63
   done;
-  masked_sub_in ctx dst (!acc lor (1 - !bor))
+  masked_sub_in ctx dst (Int64.to_int (Int64.logor !acc (Int64.sub 1L !bor)))
 
 (* Dedicated squaring, same fused column pass: each cross product is
    computed once and pre-doubled in the accumulator (the budget above
-   absorbs the extra bit), diagonal squares land on even columns. *)
+   counts it as two products), diagonal squares land on even columns. *)
 let sqr_loop ctx dst a =
   let k = ctx.k and m = ctx.ml in
-  let m' = ctx.m0_inv_neg in
+  let m' = Int64.of_int ctx.m0_inv_neg and m0 = Int64.of_int m.!(0) in
   let u = (scratch k).ws in
-  let acc = ref 0 in
+  let acc = ref 0L in
   for c = 0 to k - 1 do
     for i = 0 to (c - 1) asr 1 do
-      acc := !acc + ((a.!(i) * a.!(c - i)) lsl 1)
+      let p = Int64.mul (Int64.of_int a.!(i)) (Int64.of_int a.!(c - i)) in
+      acc := Int64.add !acc (Int64.shift_left p 1)
     done;
     if c land 1 = 0 then begin
-      let h = a.!(c / 2) in
-      acc := !acc + (h * h)
+      let h = Int64.of_int a.!(c / 2) in
+      acc := Int64.add !acc (Int64.mul h h)
     end;
     for j = 0 to c - 1 do
-      acc := !acc + (u.!(j) * m.!(c - j))
+      acc := Int64.add !acc (Int64.mul (Int64.of_int u.!(j)) (Int64.of_int m.!(c - j)))
     done;
-    let uc = (!acc land kmask) * m' land kmask in
-    u.!(c) <- uc;
-    acc := (!acc + (uc * m.!(0))) lsr kb
+    let uc = Int64.logand (Int64.mul !acc m') kmask64 in
+    u.!(c) <- Int64.to_int uc;
+    acc := Int64.shift_right_logical (Int64.add !acc (Int64.mul uc m0)) kb
   done;
   (* As in [mul_into], thread the conditional-subtraction trial borrow
      through the output columns instead of a separate compare pass. *)
-  let bor = ref 0 in
+  let bor = ref 0L in
   for c = k to (2 * k) - 1 do
     for i = c - k + 1 to (c - 1) asr 1 do
-      acc := !acc + ((a.!(i) * a.!(c - i)) lsl 1)
+      let p = Int64.mul (Int64.of_int a.!(i)) (Int64.of_int a.!(c - i)) in
+      acc := Int64.add !acc (Int64.shift_left p 1)
     done;
     if c land 1 = 0 then begin
-      let h = a.!(c / 2) in
-      acc := !acc + (h * h)
+      let h = Int64.of_int a.!(c / 2) in
+      acc := Int64.add !acc (Int64.mul h h)
     end;
     for j = c - k + 1 to k - 1 do
-      acc := !acc + (u.!(j) * m.!(c - j))
+      acc := Int64.add !acc (Int64.mul (Int64.of_int u.!(j)) (Int64.of_int m.!(c - j)))
     done;
-    let limb = !acc land kmask in
-    dst.!(c - k) <- limb;
-    acc := !acc lsr kb;
-    let d = limb - m.!(c - k) - !bor in
-    bor := (d lsr 62) land 1
+    let limb = Int64.logand !acc kmask64 in
+    dst.!(c - k) <- Int64.to_int limb;
+    acc := Int64.shift_right_logical !acc kb;
+    let d = Int64.sub (Int64.sub limb (Int64.of_int m.!(c - k))) !bor in
+    bor := Int64.shift_right_logical d 63
   done;
-  masked_sub_in ctx dst (!acc lor (1 - !bor))
+  masked_sub_in ctx dst (Int64.to_int (Int64.logor !acc (Int64.sub 1L !bor)))
 
 (* --- the reduced kernels: one per width ---
 
@@ -336,16 +350,16 @@ let sqr_into ctx dst a =
 
 (* --- conversions ---
 
-   The kernel base (2^26) differs from {!Nat}'s (2^31), so crossing the
+   The kernel base (2^29) differs from {!Nat}'s (2^31), so crossing the
    boundary re-chunks the bit stream; both directions are cold paths. *)
 
-(* dst (len limbs, base 2^26) <- the low bits of n (base-2^31 Nat). *)
+(* dst (len limbs, base 2^29) <- the low bits of n (base-2^31 Nat). *)
 let repack_nat_into dst len (n : Nat.t) =
   Array.fill dst 0 len 0;
   let buf = ref 0 and have = ref 0 and o = ref 0 in
   Array.iter
     (fun limb ->
-      (* have < 26, limb < 2^31: buf stays under 2^57. *)
+      (* have < 29, limb < 2^31: buf stays under 2^60. *)
       buf := !buf lor (limb lsl !have);
       have := !have + Nat.base_bits;
       while !have >= kb do
@@ -359,7 +373,7 @@ let repack_nat_into dst len (n : Nat.t) =
 
 let import_into ctx dst (n : Nat.t) = repack_nat_into dst ctx.k n
 
-(* Bigint from [count] base-2^26 limbs (non-negative). *)
+(* Bigint from [count] base-2^29 limbs (non-negative). *)
 let unpack_to_bigint a count =
   let acc = ref Bigint.zero in
   for i = count - 1 downto 0 do
@@ -524,7 +538,8 @@ let inv_into ctx dst a =
 
 (* --- context creation --- *)
 
-(* Inverse of odd [v] mod 2^26 by Newton iteration; 5 steps suffice. *)
+(* Inverse of odd [v] mod 2^29 by Newton iteration: 3 correct bits to
+   start, doubled per step, so 5 steps suffice. *)
 let inv_limb v =
   let x = ref v in
   for _ = 1 to 5 do
@@ -537,6 +552,11 @@ let create m =
   then invalid_arg "Limbs.create: modulus must be odd and >= 3";
   let bits = Bigint.bit_length m in
   let k = (bits + kb - 1) / kb in
+  (* The column-sum bound of [mul_loop]: 2k products of < 2^58 and a
+     carry stay below 2^64 only up to 31 limbs. *)
+  if k > max_limbs then
+    invalid_arg
+      (Printf.sprintf "Limbs.create: modulus wider than %d bits" (max_limbs * kb));
   let ml = Array.make k 0 in
   repack_nat_into ml k (Bigint.magnitude m);
   let m0_inv_neg = (kbase - inv_limb ml.(0)) land kmask in

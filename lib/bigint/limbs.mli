@@ -3,16 +3,17 @@
     The allocation-free machine room under {!Fp} (and transitively under
     the curve, pairing and every scheme in the repo). A context freezes
     the limb count [k] of its modulus at creation; an element is a flat
-    [int array] of {e exactly} [k] base-2^26 limbs holding the canonical
+    [int array] of {e exactly} [k] base-2^29 limbs holding the canonical
     (fully reduced) Montgomery residue. Kernels write into caller-provided
     destination buffers; their working space is per-domain scratch
     ({!Domain.DLS}), so concurrent use from a [Pool] of domains is
     race-free, and the inner loops perform no allocation, no [Array.sub],
     no normalization, and no data-dependent branches (conditional
     subtraction is mask-selected; only {!inv_into} and the exponent walk
-    of {!pow_into} branch on data). At 10 limbs the reduced kernels are
-    generated straight-line code ([Limbs_straight]); every other width
-    runs loops. Both return the canonical residue.
+    of {!pow_into} branch on data). Every product and column sum runs in
+    unboxed [Int64]. At 9 limbs the reduced kernels are generated
+    straight-line code ([Limbs_straight]); every other width runs loops.
+    Both return the canonical residue.
 
     Canonical representatives make bit-identity to the generic
     {!Modarith.Mont} reference a complete correctness contract: the
@@ -25,15 +26,18 @@
 type ctx
 
 type elt = int array
-(** Exactly [limb_count ctx] limbs, little-endian, each in [0, 2^26);
-    value in [0, m) times R = 2^(26k) mod m. The 26-bit base keeps every
-    partial product under 2^52 so column sums accumulate carry-free in a
-    native int (see [limbs.ml]). Treat as owned mutable
+(** Exactly [limb_count ctx] limbs, little-endian, each in [0, 2^29);
+    value in [0, m) times R = 2^(29k) mod m. The 29-bit base keeps every
+    partial product under 2^58, so a column of up to 2k products plus a
+    carry accumulates carry-free in an unsigned [Int64] for k <= 31 (see
+    [limbs.ml]). Treat as owned mutable
     storage: the functional layer above ({!Fp}) never mutates values it
     has returned, while the [*_into] kernels mutate only [dst]. *)
 
 val create : Bigint.t -> ctx
-(** Raises [Invalid_argument] unless the modulus is odd and >= 3. *)
+(** Raises [Invalid_argument] unless the modulus is odd and >= 3, and
+    for a modulus wider than 31 limbs (899 bits), past the column-sum
+    bound. *)
 
 val modulus : ctx -> Bigint.t
 val limb_count : ctx -> int

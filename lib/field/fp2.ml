@@ -5,11 +5,12 @@
      mul: re = ac - bd, im = (a + b)(c + d) - ac - bd   (3 mul + 5 add/sub)
      sqr: re = (a + b)(a - b), im = 2ab                 (2 mul + 3 add/sub)
    every intermediate a canonical residue, so the result is canonical and
-   no modulus needs headroom. At 10 limbs the kernels are straight-line
+   no modulus needs headroom. At 9 limbs the kernels are straight-line
    code that fuses each reduction into its product. On the loop widths
-   (std160's 20 limbs, the toy sets' 4) a lazy-reduction wide pipeline,
+   (std160's 18 limbs, the toy sets' 4) a lazy-reduction wide pipeline,
    one Montgomery reduction per output coefficient, won nothing clear:
-   at 20 limbs this path took 0.94–1.08 of its time (DESIGN.md §1.1). *)
+   on std160's loops (then 20 tagged 26-bit limbs) this path took
+   0.94–1.08 of its time (DESIGN.md §1.1). *)
 
 type t = { re : Fp.t; im : Fp.t }
 

@@ -12,7 +12,9 @@
     watermark and the encode count are atomics. *)
 
 type miss =
-  | Unknown_label  (** foreign origin or unparsable label *)
+  | Unknown_label
+      (** foreign origin, or a label {!Timeline.label} does not print
+          for an epoch >= 0 *)
   | Future_refused  (** §3: the epoch has not been released — never served *)
 
 type t
@@ -38,7 +40,8 @@ val released : t -> int
 val lookup : t -> Tre.time -> (string, miss) result
 (** The archive: the released bytes of an epoch at or below the
     watermark, [Future_refused] for a later one, [Unknown_label] for a
-    label of another timeline. *)
+    label that is not {!Timeline.label} of an epoch >= 0 of this
+    timeline. *)
 
 val public : t -> Tre.Server.public
 val timeline : t -> Timeline.t

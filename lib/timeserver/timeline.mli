@@ -21,7 +21,10 @@ val label : t -> int -> Tre.time
 (** Canonical label of an epoch, e.g. ["utc#42"]. Injective. *)
 
 val epoch_of_label : t -> Tre.time -> int option
-(** Inverse of {!label}; [None] for foreign labels. *)
+(** The inverse of {!label} on epochs >= 0: [Some e] exactly when the
+    label is [label t e] for some [e >= 0]. [None] for foreign labels,
+    negative epochs and every other spelling of a number ("utc#02",
+    "utc#+2", "utc#0x2", "utc#2_"). *)
 
 val start_of : t -> int -> float
 (** Simulated instant at which an epoch begins (= its release time). *)

@@ -212,9 +212,9 @@ let fp2_copy c x =
    mul/sqr, the destination fresh or aliasing a, b or both, against the
    schoolbook product. An identity-only check (commutativity,
    associativity) would pass a consistently wrong product. One modulus
-   per kernel shape: mid128's p (10 limbs, straight-line), std160's p
-   (20-limb loops), toy64's p (4-limb loops) and 2^260 - 61 (straight-
-   line, top limb saturated). *)
+   per kernel shape: mid128's p (9 limbs, straight-line), std160's p
+   (18-limb loops), toy64's p (4-limb loops), and 2^260 - 61 and
+   2^261 - 61 (straight-line, the latter with its top limb saturated). *)
 let test_fp2_products_schoolbook () =
   let rng = Hashing.Drbg.create ~seed:"test-fp2-products" () in
   List.iter
@@ -253,6 +253,7 @@ let test_fp2_products_schoolbook () =
       ("std160", named_p "std160");
       ("toy64", named_p "toy64");
       ("2^260 - 61", B.sub (B.shift_left B.one 260) (B.of_int 61));
+      ("2^261 - 61", B.sub (B.shift_left B.one 261) (B.of_int 61));
     ]
 
 (* The cyclotomic squaring against the schoolbook square on norm-1

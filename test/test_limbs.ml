@@ -19,10 +19,10 @@ let random_bigint bytes =
   B.of_bytes_be (Hashing.Drbg.generate !rng bytes)
 
 (* Synthetic moduli: the 256-bit test prime, a handful of random odd
-   moduli of assorted limb counts, and maximal-limb moduli (bit length =
-   26k, flush with the kernel limb base, no headroom above m). Built
-   without [Pairing], so a broken kernel fails a differential check that
-   names the operation instead of a parameter set's construction. *)
+   moduli of assorted limb counts, maximal moduli and the narrowest ones
+   of the straight-line width. Built without [Pairing], so a broken
+   kernel fails a differential check that names the operation instead of
+   a parameter set's construction. *)
 let synthetic_moduli =
   let p256 = B.sub (B.pow B.two 256) (B.of_int 189) in
   let random_odds =
@@ -33,20 +33,23 @@ let synthetic_moduli =
         if B.is_even v then B.succ v else v)
       [ 4; 9; 17; 33; 64 ]
   in
-  (* Top kernel limb saturated: 26k-bit moduli. *)
+  (* 2^bits - 61. At bits = 29k the top kernel limb is saturated, with
+     no headroom above m; k = 31, the widest context, drives the widest
+     column sum to just below 2^64. The 26k-bit ones leave the top limb
+     part-filled. *)
+  let maximal bits = B.sub (B.shift_left B.one bits) (B.of_int 61) in
   let maximal =
-    List.map
-      (fun k -> B.sub (B.shift_left B.one (26 * k)) (B.of_int 61))
-      [ 1; 3; 5; 9; 10; 20 ]
+    List.map (fun k -> maximal (29 * k)) [ 1; 3; 9; 18; 31 ]
+    @ List.map (fun k -> maximal (26 * k)) [ 1; 3; 5; 9; 10; 20 ]
   in
-  (* The narrowest 10-limb modulus (235 bits, one bit in the top limb):
-     with 2^260 - 61 above, both ends of the straight-line width. The
-     low limbs are 3^150 mod 2^234, an odd value with no pattern. *)
-  let narrow10 =
-    let top = B.shift_left B.one 234 in
+  (* One bit in the top limb: 233 bits is the narrowest 9-limb modulus,
+     so with 2^261 - 61 above, both ends of the straight-line width. The
+     low limbs are 3^150 mod 2^(bits-1), an odd value with no pattern. *)
+  let narrow bits =
+    let top = B.shift_left B.one (bits - 1) in
     B.add top (B.erem (B.pow (B.of_int 3) 150) top)
   in
-  [ p256 ] @ random_odds @ maximal @ [ narrow10 ]
+  [ p256 ] @ random_odds @ maximal @ [ narrow 233; narrow 235 ]
 
 (* Every named parameter set's p, read inside the cases that use it:
    [Pairing.by_name] builds the set on the kernels under test. *)
@@ -203,6 +206,20 @@ let test_mont_inv_roundtrip_equiv () =
         (values m 8))
     (synthetic_moduli @ named_moduli ())
 
+(* Words allocated per call of [f] over 50 calls, after one warm-up call
+   that grows the per-domain scratch. [Gc.minor_words], not
+   [Gc.allocated_bytes]: on OCaml 5.1 the latter reads the same figure
+   as the former, so dividing it by 8 let up to 8 words per call
+   through. *)
+let words_per_call f =
+  f ();
+  let rounds = 50 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int rounds
+
 (* The hot kernels must stay allocation-free: their scratch is per-domain
    and grow-only, so after a warm-up call the steady state allocates
    nothing. Guards the binary-extgcd inversion (and the mul it ends on)
@@ -217,18 +234,42 @@ let test_inv_allocation_free () =
           let kc = Limbs.create m in
           let a = Limbs.of_bigint kc (B.erem (random_bigint 40) m) in
           let d = Limbs.alloc kc in
-          (* Warm up the per-domain scratch so growth is behind us. *)
-          Limbs.inv_into kc d a;
-          let rounds = 50 in
-          let before = Gc.allocated_bytes () in
-          for _ = 1 to rounds do
-            Limbs.inv_into kc d a
-          done;
-          let words = (Gc.allocated_bytes () -. before) /. 8. in
-          let per_op = words /. float_of_int rounds in
+          let per_op = words_per_call (fun () -> Limbs.inv_into kc d a) in
           if per_op > 1.0 then
             Alcotest.failf "inv_into allocates %.1f words/op at %s" per_op n)
     [ "toy64"; "std160" ]
+
+(* The same guard over the reduced kernels, on every named set: a boxed
+   [Int64] in a generated or a loop kernel allocates on every call. *)
+let test_reduced_allocation_free () =
+  List.iter
+    (fun n ->
+      let m = (Option.get (Pairing.by_name n)).Pairing.p in
+      let kc = Limbs.create m in
+      let a = Limbs.of_bigint kc (B.erem (random_bigint 40) m) in
+      let b = Limbs.of_bigint kc (B.erem (random_bigint 40) m) in
+      let d = Limbs.alloc kc in
+      List.iter
+        (fun (op, kernel) ->
+          let per_op = words_per_call kernel in
+          if per_op > 1.0 then
+            Alcotest.failf "%s allocates %.1f words/op at %s" op per_op n)
+        [
+          ("mul_into", fun () -> Limbs.mul_into kc d a b);
+          ("sqr_into", fun () -> Limbs.sqr_into kc d a);
+          ("add_into", fun () -> Limbs.add_into kc d a b);
+          ("sub_into", fun () -> Limbs.sub_into kc d a b);
+          ("neg_into", fun () -> Limbs.neg_into kc d a);
+        ])
+    Pairing.all_names
+
+(* The column-sum bound holds up to 31 limbs: one bit more is refused. *)
+let test_create_width_limit () =
+  let m = B.sub (B.shift_left B.one 900) (B.of_int 61) in
+  Alcotest.(check int) "900 bits" 900 (B.bit_length m);
+  match Limbs.create m with
+  | _ -> Alcotest.fail "a 900-bit modulus was accepted"
+  | exception Invalid_argument _ -> ()
 
 (* Concurrent kernel use from multiple domains must be race-free (each
    domain owns its DLS scratch) and bit-identical to the serial run. *)
@@ -272,6 +313,10 @@ let () =
             test_mont_inv_roundtrip_equiv;
           Alcotest.test_case "inv allocation-free" `Quick
             test_inv_allocation_free;
+          Alcotest.test_case "reduced kernels allocation-free" `Quick
+            test_reduced_allocation_free;
+          Alcotest.test_case "create refuses 32 limbs" `Quick
+            test_create_width_limit;
         ] );
       ( "domains",
         [ Alcotest.test_case "pool race-free" `Quick test_pool_race_free ] );

@@ -377,6 +377,25 @@ let test_archive_endpoint backend () =
       Unix.close c.fd;
       Unix.close sub.fd)
 
+let test_archive_non_canonical_label backend () =
+  (* "utc#02" reads as epoch 2 but is not its label: a miss, not the
+     update for "utc#2". *)
+  with_server ~backend (fun srv path timeline ->
+      Net_server.tick srv 1;
+      Net_server.tick srv 2;
+      let c = connect path in
+      let lbl = Timeline.origin timeline ^ "#02" in
+      send_all c.fd (Frame.encode (Netmsg.archive_query_to_bytes prms lbl));
+      (match read_frames c 1 with
+      | [ p ] -> (
+          match Netmsg.archive_miss_of_bytes prms p with
+          | Ok (_, Netmsg.Unknown_label) -> ()
+          | Ok (_, Netmsg.Future_refused) -> Alcotest.failf "%s refused as future" lbl
+          | Error e -> Alcotest.failf "%s not a miss: %s" lbl e)
+      | fs -> Alcotest.failf "expected 1 reply, got %d" (List.length fs));
+      Alcotest.(check int) "no hit" 0 (Net_server.stats srv).Netmsg.archive_hits;
+      Unix.close c.fd)
+
 let test_backpressure_evicts_slow_reader backend () =
   (* A tiny queue bound plus a reader that never reads: the broadcast
      loop must evict it (bounded memory) while a normal reader keeps
@@ -691,6 +710,7 @@ let () =
           ("encode-once fan-out", test_encode_once_fanout);
           ("shards spread", test_shards_spread);
           ("archive endpoint", test_archive_endpoint);
+          ("archive non-canonical label", test_archive_non_canonical_label);
           ("back-pressure eviction", test_backpressure_evicts_slow_reader);
           ("fd exhaustion sheds, no spin", test_fd_exhaustion_sheds);
           ("UDP tick fan-out", test_udp_tick_fanout);

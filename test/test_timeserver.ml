@@ -127,6 +127,18 @@ let test_simnet_validation () =
 
 (* --- timeline --- *)
 
+(* Labels that [int_of_string] reads as an epoch but that are not
+   [Timeline.label] of an epoch >= 0: other spellings of 2, and negative
+   epochs. *)
+let non_canonical_labels =
+  [ "utc#0x2"; "utc#02"; "utc#+2"; "utc#0b10"; "utc#2_"; "utc#-7"; "utc#-4611686018427387904" ]
+
+let prop_label_roundtrip =
+  let tl = Timeline.create ~granularity:60.0 () in
+  QCheck2.Test.make ~name:"epoch_of_label (label e) = Some e, e >= 0" ~count:500
+    QCheck2.Gen.(oneof [ small_nat; map (fun n -> n land max_int) int; pure max_int ])
+    (fun e -> Timeline.epoch_of_label tl (Timeline.label tl e) = Some e)
+
 let test_timeline () =
   let tl = Timeline.create ~granularity:60.0 () in
   Alcotest.(check int) "epoch_at 0" 0 (Timeline.epoch_at tl 0.0);
@@ -136,6 +148,9 @@ let test_timeline () =
   Alcotest.(check (option int)) "label roundtrip" (Some 42)
     (Timeline.epoch_of_label tl (Timeline.label tl 42));
   Alcotest.(check (option int)) "foreign label" None (Timeline.epoch_of_label tl "gps#3");
+  List.iter
+    (fun lbl -> Alcotest.(check (option int)) lbl None (Timeline.epoch_of_label tl lbl))
+    non_canonical_labels;
   Alcotest.check_raises "bad granularity"
     (Invalid_argument "Timeline.create: granularity <= 0") (fun () ->
       ignore (Timeline.create ~granularity:0.0 ()))
@@ -290,6 +305,22 @@ let test_core_regenerates () =
     (Server_core.lookup restarted (Timeline.label tl 1) = Error Server_core.Future_refused);
   ignore (Server_core.release restarted 5);
   serves restarted
+
+let test_core_non_canonical_labels () =
+  (* An archive pull for "utc#02" must not be answered with the update
+     for "utc#2", nor one for "utc#-7" with a freshly signed update. *)
+  let tl = Timeline.create ~granularity:10.0 () in
+  let secret, _ = Tre.Server.keygen prms (Hashing.Drbg.create ~seed:"labels" ()) in
+  let core = Server_core.create ~wrap:Fun.id prms tl secret in
+  let b2 = Server_core.release core 2 in
+  let encoded = Server_core.updates_encoded core in
+  List.iter
+    (fun lbl ->
+      Alcotest.(check bool) (lbl ^ " unknown") true
+        (Server_core.lookup core lbl = Error Server_core.Unknown_label))
+    non_canonical_labels;
+  Alcotest.(check int) "nothing encoded" encoded (Server_core.updates_encoded core);
+  Alcotest.(check bool) "utc#2 served" true (Server_core.lookup core "utc#2" = Ok b2)
 
 let test_missed_update_recovery () =
   (* With a very lossy broadcast channel some client misses an update; it
@@ -448,7 +479,9 @@ let () =
           Alcotest.test_case "run_until" `Quick test_simnet_run_until;
           Alcotest.test_case "validation" `Quick test_simnet_validation;
         ] );
-      ("timeline", [ Alcotest.test_case "mapping" `Quick test_timeline ]);
+      ( "timeline",
+        [ Alcotest.test_case "mapping" `Quick test_timeline;
+          QCheck_alcotest.to_alcotest prop_label_roundtrip ] );
       ( "system",
         [
           Alcotest.test_case "end-to-end release" `Quick test_end_to_end_release;
@@ -459,6 +492,8 @@ let () =
             test_archive_follows_broadcast;
           Alcotest.test_case "footnote 4: the core regenerates" `Quick
             test_core_regenerates;
+          Alcotest.test_case "non-canonical labels miss" `Quick
+            test_core_non_canonical_labels;
           Alcotest.test_case "missed update recovery" `Quick test_missed_update_recovery;
           Alcotest.test_case "recovery out-of-order + duplicates" `Quick
             test_recovery_out_of_order_and_duplicates;
