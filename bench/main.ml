@@ -7,15 +7,15 @@
      dune exec bench/main.exe -- --smoke      # agreement asserts only
      dune exec bench/main.exe -- --e1kernel   # kernel-vs-reference report only
                                               # (regenerates BENCH_E1_KERNEL.json)
+     dune exec bench/main.exe -- --e14delegate  # delegation report only
+                                              # (regenerates BENCH_E14_DELEGATE.json)
 
-   Timing numbers come from Bechamel (OLS over monotonic-clock samples) at
-   the mid128 parameter set; structural numbers (bytes, messages, rounds)
-   come from the actual implementations and the discrete-event simulator.
-   Absolute times are machine-dependent; the claims under test are the
-   RATIOS and SHAPES (who wins, by what factor, what scales how). *)
-
-open Bechamel
-open Toolkit
+   Every timed row comes from one sampler ([measure] below: minimum
+   [Sys.time] and median [Gc.minor_words] per op), mostly at the mid128
+   parameter set; structural numbers (bytes, messages, rounds) come from
+   the actual implementations and the discrete-event simulator. Absolute
+   times are machine-dependent; the claims under test are the RATIOS and
+   SHAPES (who wins, by what factor, what scales how). *)
 
 let quick = Array.exists (fun a -> a = "--quick") Sys.argv
 let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
@@ -54,24 +54,6 @@ let hyb_sec, hyb_pub = Hybrid_baseline.receiver_keygen prms rng
 let hyb_ct = Hybrid_baseline.encrypt prms srv_pub hyb_pub ~release_time:t_label rng msg32
 
 let epoch_key = Key_insulation.derive prms usr_sec upd
-
-(* --- bechamel plumbing --- *)
-
-let run_benchmarks tests =
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let quota = if quick then Time.millisecond 120.0 else Time.millisecond 400.0 in
-  let cfg = Benchmark.cfg ~limit:500 ~quota ~kde:None () in
-  let raw = Benchmark.all cfg instances tests in
-  Analyze.all ols Instance.monotonic_clock raw
-
-let ns_of results name =
-  match Hashtbl.find_opt results name with
-  | None -> nan
-  | Some ols -> (
-      match Analyze.OLS.estimates ols with
-      | Some (est :: _) -> est
-      | Some [] | None -> nan)
 
 let pp_time ns =
   if Float.is_nan ns then "n/a"
@@ -127,54 +109,22 @@ let write_json path rows =
   output_string oc "\n]\n";
   close_out oc
 
-(* Min-of-samples timer + median-of-samples allocation meter: used for
-   all cross-scheme ratio tables (bechamel OLS estimates remain for the
-   E1 single-op listing). Timing noise on a shared machine is one-sided
-   — contention only ever makes a sample SLOWER — so the minimum over
-   >=20 ms samples is the least-contended estimate and keeps checked-in
-   speedup ratios (and the bench_guard floors over them) stable where a
-   median still wobbles by +-10% under load. Allocation is load-
-   independent, so its median stays. Every timed table row carries both
-   nanoseconds/op and allocated words/op — [Gc.allocated_bytes] sampled
-   over the same iterations the timing uses, so the perf trajectory
-   (time AND allocation) is machine-readable from the JSON dumps. *)
-let median_time_alloc ?(samples = 5) f =
-  ignore (f ());
-  (* Pick an iteration count that makes one sample >= ~20 ms. *)
-  let t0 = Sys.time () in
-  ignore (f ());
-  let once = Stdlib.max 1e-7 (Sys.time () -. t0) in
-  let iters = Stdlib.max 1 (int_of_float (0.02 /. once)) in
-  let samples_ =
-    List.init samples (fun _ ->
-        let a0 = Gc.allocated_bytes () in
-        let t0 = Sys.time () in
-        for _ = 1 to iters do
-          ignore (f ())
-        done;
-        let dt = (Sys.time () -. t0) /. float_of_int iters in
-        let dw = (Gc.allocated_bytes () -. a0) /. 8.0 /. float_of_int iters in
-        (dt, dw))
-  in
-  let times = List.sort compare (List.map fst samples_) in
-  let words = List.sort compare (List.map snd samples_) in
-  match
-    (List.nth_opt times 0, List.nth_opt words (List.length words / 2))
-  with
-  | Some t, Some w -> (t *. 1e9, w)
-  | _ -> (nan, nan)
-
-let median_time ?samples f = fst (median_time_alloc ?samples f)
-
-(* Paired timer for speedup rows: reference and kernel samples strictly
-   ALTERNATE, so a sustained contention epoch (another job on the
-   machine, seconds long — longer than one >=20 ms sample but shorter
-   than a row's full sampling run) inflates both sides of the ratio
-   instead of whichever side happened to own that window. Separate
-   min-of-samples runs for the two sides showed exactly that failure
-   mode: single-run speedup swings of +-20% on rows whose true ratio is
-   stable. Returns ((ns, words) reference, (ns, words) kernel). *)
-let paired_time_alloc ?(samples = 5) fref fker =
+(* The one timer behind every timed row. Each side is calibrated to
+   >= 20 ms per sample, then the sides' samples ALTERNATE, so a
+   contention epoch longer than one sample but shorter than a row's run
+   slows every side of a ratio instead of whichever side owned that
+   window (separate runs per side swung speedups by +-20% on rows whose
+   true ratio is stable). Time is the MINIMUM per-op [Sys.time] over the
+   samples: contention only ever makes a sample slower, so the minimum
+   keeps checked-in speedups (and the bench_guard floors over them)
+   stable where a median wobbles by +-10%. Words are the MEDIAN per-op
+   [Gc.minor_words] delta; [Gc.allocated_bytes] cannot serve, as OCaml
+   5.1 counts in it the words allocated since the last minor collection
+   at one eighth. Blocks over 256 words skip the minor heap and are not
+   counted. Growth of the [excluded] clock (seconds a side spends on
+   work not its own: E14's helpers) is taken off its sample. Returns
+   (ns/op, words/op) per side, in order. *)
+let measure ?(samples = 5) ?(excluded = ref 0.0) sides =
   let calibrate f =
     ignore (f ());
     let t0 = Sys.time () in
@@ -182,37 +132,40 @@ let paired_time_alloc ?(samples = 5) fref fker =
     let once = Stdlib.max 1e-7 (Sys.time () -. t0) in
     Stdlib.max 1 (int_of_float (0.02 /. once))
   in
-  let iref = calibrate fref in
-  let iker = calibrate fker in
-  let one f iters =
-    let a0 = Gc.allocated_bytes () in
+  let iters = Array.map calibrate sides in
+  let one i f =
+    let x0 = !excluded in
+    let w0 = Gc.minor_words () in
     let t0 = Sys.time () in
-    for _ = 1 to iters do
+    for _ = 1 to iters.(i) do
       ignore (f ())
     done;
-    let dt = (Sys.time () -. t0) /. float_of_int iters in
-    (dt, (Gc.allocated_bytes () -. a0) /. 8.0 /. float_of_int iters)
+    let dt = Sys.time () -. t0 -. (!excluded -. x0) in
+    let dw = Gc.minor_words () -. w0 in
+    let n = float_of_int iters.(i) in
+    (dt /. n, dw /. n)
   in
-  let sref = ref [] and sker = ref [] in
-  for _ = 1 to samples do
-    sref := one fref iref :: !sref;
-    sker := one fker iker :: !sker
-  done;
-  let pick l =
-    let times = List.sort compare (List.map fst l) in
-    let words = List.sort compare (List.map snd l) in
-    match (List.nth_opt times 0, List.nth_opt words (List.length words / 2)) with
-    | Some t, Some w -> (t *. 1e9, w)
-    | _ -> (nan, nan)
-  in
-  (pick !sref, pick !sker)
+  let runs = Array.init samples (fun _ -> Array.mapi one sides) in
+  Array.mapi
+    (fun i _ ->
+      let times = Array.map (fun run -> fst run.(i)) runs in
+      let words = Array.map (fun run -> snd run.(i)) runs in
+      Array.sort compare times;
+      Array.sort compare words;
+      (times.(0) *. 1e9, words.(samples / 2)))
+    sides
+
+let measure1 ?samples f = (measure ?samples [| f |]).(0)
+
+let measure2 ?excluded f g =
+  let m = measure ?excluded [| f; g |] in
+  (m.(0), m.(1))
 
 let pp_words w =
   if Float.is_nan w then "n/a"
   else if w >= 1e6 then Printf.sprintf "%.1fMw" (w /. 1e6)
   else if w >= 1e3 then Printf.sprintf "%.1fkw" (w /. 1e3)
   else Printf.sprintf "%.0fw" w
-
 
 (* =========================================================================
    E1 - operation costs of the schemes
@@ -245,20 +198,12 @@ let e1_ops =
     ("hash-to-g1", fun () -> ignore (Pairing.hash_to_g1 prms t_label));
   ]
 
-let e1_tests =
-  Test.make_grouped ~name:"e1" ~fmt:"%s/%s"
-    (List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) e1_ops)
-
-(* Allocation meter alone (the timing for these rows comes from bechamel). *)
-let alloc_words_of f = snd (median_time_alloc ~samples:3 f)
-
-let e1_report results =
+let e1_report () =
   heading "E1: operation costs (mid128: 128-bit q, 256-bit p; 32-byte message)";
   Printf.printf "%-28s %12s %10s\n" "operation" "time/op" "words/op";
   List.iter
     (fun (name, f) ->
-      let ns = ns_of results ("e1/" ^ name) in
-      let w = alloc_words_of f in
+      let ns, w = measure1 f in
       record "E1" [ ("operation", S name); ("ns", F ns); ("alloc_words", F w) ];
       Printf.printf "%-28s %12s %10s\n" name (pp_time ns) (pp_words w))
     e1_ops;
@@ -270,36 +215,23 @@ let e1_report results =
    E2 - TRE vs the hybrid PKE+IBE construction (the "50% reduction" claim)
    ========================================================================= *)
 
-let e2_tests =
-  Test.make_grouped ~name:"e2" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"hybrid-encrypt"
-        (Staged.stage (fun () ->
-             Hybrid_baseline.encrypt prms srv_pub hyb_pub ~release_time:t_label rng msg32));
-      Test.make ~name:"hybrid-decrypt"
-        (Staged.stage (fun () -> Hybrid_baseline.decrypt prms hyb_sec upd hyb_ct));
-    ]
-
-let e2_report results =
+let e2_report () =
   heading "E2: TRE vs hybrid PKE+IBE (footnote 3) - the ~50% reduction claim";
-  ignore results;
-  (* Median timing keeps the ratios consistent under load (the bechamel
-     single-op estimates above can drift between groups). *)
-  let tre_enc =
-    median_time_alloc (fun () ->
-        ignore (Tre.encrypt prms srv_pub usr_pub ~release_time:t_label rng msg32))
+  let enc =
+    measure
+      [| (fun () -> ignore (Tre.encrypt prms srv_pub usr_pub ~release_time:t_label rng msg32));
+         (fun () ->
+           ignore
+             (Tre.encrypt_prevalidated prms srv_pub usr_pub ~release_time:t_label rng msg32));
+         (fun () ->
+           ignore
+             (Hybrid_baseline.encrypt prms srv_pub hyb_pub ~release_time:t_label rng msg32))
+      |]
   in
-  let tre_enc_pre =
-    median_time_alloc (fun () ->
-        ignore (Tre.encrypt_prevalidated prms srv_pub usr_pub ~release_time:t_label rng msg32))
-  in
-  let tre_dec = median_time_alloc (fun () -> ignore (Tre.decrypt prms usr_sec upd tre_ct)) in
-  let hyb_enc =
-    median_time_alloc (fun () ->
-        ignore (Hybrid_baseline.encrypt prms srv_pub hyb_pub ~release_time:t_label rng msg32))
-  in
-  let hyb_dec =
-    median_time_alloc (fun () -> ignore (Hybrid_baseline.decrypt prms hyb_sec upd hyb_ct))
+  let tre_dec, hyb_dec =
+    measure2
+      (fun () -> ignore (Tre.decrypt prms usr_sec upd tre_ct))
+      (fun () -> ignore (Hybrid_baseline.decrypt prms hyb_sec upd hyb_ct))
   in
   Printf.printf "%-22s %12s %12s %9s\n" "operation" "TRE" "hybrid" "hyb/TRE";
   let e2_row name (tre, tre_w) (hyb, hyb_w) =
@@ -310,8 +242,8 @@ let e2_report results =
     Printf.printf "%-22s %12s %12s %8.2fx\n" name (pp_time tre) (pp_time hyb)
       (hyb /. tre)
   in
-  e2_row "encrypt (1st msg)" tre_enc hyb_enc;
-  e2_row "encrypt (validated)" tre_enc_pre hyb_enc;
+  e2_row "encrypt (1st msg)" enc.(0) enc.(2);
+  e2_row "encrypt (validated)" enc.(1) enc.(2);
   e2_row "decrypt" tre_dec hyb_dec;
   Printf.printf "\n%-12s %10s %10s %10s %10s %10s\n" "msg bytes" "TRE ct" "hybrid ct"
     "FO ct" "REACT ct" "hyb/TRE";
@@ -514,23 +446,7 @@ let e5_fixture n =
   let updates = List.map (fun s -> Tre.issue_update prms s t_label) secs in
   (pubs, pk, a, ct, updates)
 
-let e5_cases = [ 1; 2; 4; 8 ]
-
-let e5_tests =
-  Test.make_grouped ~name:"e5" ~fmt:"%s/%s"
-    (List.concat_map
-       (fun n ->
-         let pubs, pk, a, ct, updates = e5_fixture n in
-         [
-           Test.make ~name:(Printf.sprintf "encrypt-n%d" n)
-             (Staged.stage (fun () ->
-                  Multi_server.encrypt prms pubs pk ~release_time:t_label rng msg32));
-           Test.make ~name:(Printf.sprintf "decrypt-n%d" n)
-             (Staged.stage (fun () -> Multi_server.decrypt prms a updates ct));
-         ])
-       e5_cases)
-
-let e5_report results =
+let e5_report () =
   heading "E5: multi-server TRE - cost per additional server (mid128)";
   Printf.printf "%-10s %12s %12s %14s\n" "servers" "encrypt" "decrypt" "ciphertext B";
   List.iter
@@ -541,21 +457,18 @@ let e5_report results =
         + (Array.length ct.Multi_server.us * Pairing.point_bytes prms)
         + String.length ct.Multi_server.v
       in
-      let enc = ns_of results (Printf.sprintf "e5/encrypt-n%d" n) in
-      let dec = ns_of results (Printf.sprintf "e5/decrypt-n%d" n) in
-      let w_enc =
-        alloc_words_of (fun () ->
+      let (enc, w_enc), (dec, w_dec) =
+        measure2
+          (fun () ->
             ignore (Multi_server.encrypt prms pubs pk ~release_time:t_label rng msg32))
-      in
-      let w_dec =
-        alloc_words_of (fun () -> ignore (Multi_server.decrypt prms a updates ct))
+          (fun () -> ignore (Multi_server.decrypt prms a updates ct))
       in
       record "E5"
         [ ("servers", I n); ("ns_encrypt", F enc); ("alloc_words_encrypt", F w_enc);
           ("ns_decrypt", F dec); ("alloc_words_decrypt", F w_dec);
           ("ciphertext_bytes", I size) ];
       Printf.printf "%-10d %12s %12s %14d\n" n (pp_time enc) (pp_time dec) size)
-    e5_cases;
+    [ 1; 2; 4; 8 ];
   Printf.printf
     "shape check: ciphertext grows by exactly one G1 point per server;\n\
      decryption by ~one pairing per server; collusion resistance N-1 (tested).\n"
@@ -564,23 +477,7 @@ let e5_report results =
    E6 - self-authenticated updates (BLS) vs update + separate signature
    ========================================================================= *)
 
-let e6_batch =
-  List.init 32 (fun i ->
-      let m = Printf.sprintf "epoch-%d" i in
-      (m, Tre.issue_update prms srv_sec m))
-
-let e6_tests =
-  let bls_pub = { Bls.g = srv_pub.Tre.Server.g; pk = srv_pub.Tre.Server.sg } in
-  let pairs = List.map (fun (m, u) -> (m, u.Tre.update_value)) e6_batch in
-  Test.make_grouped ~name:"e6" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"verify-single"
-        (Staged.stage (fun () -> Tre.verify_update prms srv_pub upd));
-      Test.make ~name:"verify-batch32"
-        (Staged.stage (fun () -> Bls.verify_batch prms bls_pub pairs));
-    ]
-
-let e6_report results =
+let e6_report () =
   heading "E6: key updates are self-authenticating BLS signatures";
   let upd_bytes = String.length (Tre.update_to_bytes prms upd) in
   let sig_bytes = Bls.signature_bytes prms in
@@ -588,12 +485,17 @@ let e6_report results =
   Printf.printf "strawman update + separate BLS sig: %4d bytes (+%d%%)\n"
     (upd_bytes + sig_bytes)
     (100 * sig_bytes / upd_bytes);
-  let single = ns_of results "e6/verify-single" in
-  let batch = ns_of results "e6/verify-batch32" in
   let bls_pub = { Bls.g = srv_pub.Tre.Server.g; pk = srv_pub.Tre.Server.sg } in
-  let pairs = List.map (fun (m, u) -> (m, u.Tre.update_value)) e6_batch in
-  let w_single = alloc_words_of (fun () -> ignore (Tre.verify_update prms srv_pub upd)) in
-  let w_batch = alloc_words_of (fun () -> ignore (Bls.verify_batch prms bls_pub pairs)) in
+  let pairs =
+    List.init 32 (fun i ->
+        let m = Printf.sprintf "epoch-%d" i in
+        (m, (Tre.issue_update prms srv_sec m).Tre.update_value))
+  in
+  let (single, w_single), (batch, w_batch) =
+    measure2
+      (fun () -> ignore (Tre.verify_update prms srv_pub upd))
+      (fun () -> ignore (Bls.verify_batch prms bls_pub pairs))
+  in
   record "E6"
     [ ("update_bytes", I upd_bytes); ("sig_bytes", I sig_bytes);
       ("ns_verify_single", F single); ("alloc_words_verify_single", F w_single);
@@ -691,32 +593,21 @@ let e8_report () =
    E9 - key insulation overhead
    ========================================================================= *)
 
-let e9_tests =
-  Test.make_grouped ~name:"e9" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"decrypt-with-a"
-        (Staged.stage (fun () -> Tre.decrypt prms usr_sec upd tre_ct));
-      Test.make ~name:"decrypt-with-epoch-key"
-        (Staged.stage (fun () -> Key_insulation.decrypt prms epoch_key tre_ct));
-      Test.make ~name:"derive-epoch-key"
-        (Staged.stage (fun () -> Key_insulation.derive prms usr_sec upd));
-    ]
-
-let e9_report results =
+let e9_report () =
   heading "E9: key insulation - epoch-key decryption vs direct secret use";
   Printf.printf "%-26s %12s %10s\n" "operation" "time/op" "words/op";
-  List.iter
-    (fun (n, f) ->
-      let ns = ns_of results ("e9/" ^ n) in
-      let w = alloc_words_of f in
+  let ops =
+    [| ("decrypt-with-a", fun () -> ignore (Tre.decrypt prms usr_sec upd tre_ct));
+       ( "decrypt-with-epoch-key",
+         fun () -> ignore (Key_insulation.decrypt prms epoch_key tre_ct) );
+       ("derive-epoch-key", fun () -> ignore (Key_insulation.derive prms usr_sec upd)) |]
+  in
+  Array.iter2
+    (fun (n, _) (ns, w) ->
       record "E9" [ ("operation", S n); ("ns", F ns); ("alloc_words", F w) ];
       Printf.printf "%-26s %12s %10s\n" n (pp_time ns) (pp_words w))
-    [
-      ("decrypt-with-a", fun () -> ignore (Tre.decrypt prms usr_sec upd tre_ct));
-      ( "decrypt-with-epoch-key",
-        fun () -> ignore (Key_insulation.decrypt prms epoch_key tre_ct) );
-      ("derive-epoch-key", fun () -> ignore (Key_insulation.derive prms usr_sec upd));
-    ];
+    ops
+    (measure (Array.map snd ops));
   (* Exposure simulation: compromise the epoch-3 key out of 10 epochs. *)
   let epochs = List.init 10 (fun i -> Printf.sprintf "ep-%d" i) in
   let cts =
@@ -741,11 +632,11 @@ let e9_report results =
      the compromised epoch.\n"
 
 (* =========================================================================
-   E1b - parameter sweep (manual median timing, all three sets)
+   E1b - parameter sweep (every named parameter set)
    ========================================================================= *)
 
 let e1b_report () =
-  heading "E1b: parameter sweep (median timing; q/p bits per set)";
+  heading "E1b: parameter sweep (q/p bits per set)";
   Printf.printf "%-24s" "operation";
   List.iter
     (fun name ->
@@ -782,7 +673,7 @@ let e1b_report () =
       List.iter
         (fun (set_name, ops) ->
           let f = List.assoc op ops in
-          let t, w = median_time_alloc f in
+          let t, w = measure1 f in
           record "E1b"
             [ ("operation", S op); ("params", S set_name); ("ns", F t);
               ("alloc_words", F w) ];
@@ -920,8 +811,7 @@ let e1opt_report () =
   Printf.printf "%-26s %12s %12s %9s\n" "operation" "reference" "optimized" "speedup";
   List.iter
     (fun r ->
-      let t_ref, w_ref = median_time_alloc r.reference
-      and t_opt, w_opt = median_time_alloc r.optimized in
+      let (t_ref, w_ref), (t_opt, w_opt) = measure2 r.reference r.optimized in
       record "E1opt"
         [ ("operation", S r.row_name); ("ns_reference", F t_ref);
           ("alloc_words_reference", F w_ref); ("ns_optimized", F t_opt);
@@ -944,7 +834,7 @@ let e1opt_smoke () =
   e1opt_check rows;
   List.iter
     (fun r ->
-      let t_ref = median_time r.reference and t_opt = median_time r.optimized in
+      let (t_ref, _), (t_opt, _) = measure2 r.reference r.optimized in
       Printf.printf "%-26s OK (%.2fx)\n" r.row_name (t_ref /. t_opt))
     rows;
   Printf.printf "all optimized paths agree with reference\n"
@@ -1182,8 +1072,8 @@ let e1kernel_report () =
         (fun r ->
           let (t_ref, w_ref), (t_ker, w_ker) =
             match r.kref with
-            | Some f -> paired_time_alloc f r.kker
-            | None -> ((nan, nan), median_time_alloc r.kker)
+            | Some f -> measure2 f r.kker
+            | None -> ((nan, nan), measure1 r.kker)
           in
           let fields =
             [ ("params", S set_name); ("operation", S r.krow_name);
@@ -1207,26 +1097,26 @@ let e1kernel_report () =
   Printf.printf "\nwrote %d rows to BENCH_E1_KERNEL.json\n"
     (List.length !kernel_rows);
   Printf.printf
-    "shape check: the in-place product-scanning kernel multiplies >=2x faster at\n\
-     mid128 with ~zero allocated words/op (the generic reference pays\n\
-     scratch + Array.sub copies + a normalization pass per call); the\n\
-     gap compounds up the stack through the curve step and the Miller\n\
-     loop into the end-to-end scheme operations. The miller-loop and\n\
-     final-exp rows split the pairing: a live walker of the product\n\
-     kernel wins the Miller half, the cyclotomic window the\n\
-     exponentiation, and the full-pairing row (G with G) adds the\n\
+    "shape check: the in-place product-scanning kernel multiplies >=2x faster\n\
+     at mid128 and allocates nothing (the generic reference pays ~40 words of\n\
+     scratch + Array.sub copies + a normalization pass per call); the gap\n\
+     compounds up the stack through the curve step and the Miller loop into\n\
+     the end-to-end scheme operations, whose layers above the field still\n\
+     allocate (the live Miller loop ~1k words/op at mid128, H1 a few\n\
+     thousand). The miller-loop and final-exp rows split the pairing: a live\n\
+     walker of the product kernel wins the Miller half, the cyclotomic window\n\
+     the exponentiation, and the full-pairing row (G with G) adds the\n\
      generator's prepared schedule on top, on both curve families. The\n\
-     verify-2pair row is the paper's two-pairing update verification as\n\
-     ONE product with a shared squaring chain and the GF(p) membership\n\
-     decision in place of any final exponentiation, against two separate\n\
-     prepared pairings (each a one-slot product): ~1.3-1.4x on every\n\
-     set (on y^2 = x^3 + 1 both sides run the trace-zero prepared\n\
-     schedule, whose image inversion the product also shares).\n\
-     The curve-mul, in-g1 and hash-to-g1 rows are the rest of a single\n\
-     update's verification: the x-only Montgomery ladder, the membership\n\
-     test that needs no y, and H1's cofactor clearing on the ladder, each\n\
-     against the reference double-and-add (tools/bench_guard.ml holds\n\
-     these ratios as CI floors).\n"
+     verify-2pair row is the paper's two-pairing update verification as ONE\n\
+     product with a shared squaring chain and the GF(p) membership decision\n\
+     in place of any final exponentiation, against two separate prepared\n\
+     pairings (each a one-slot product): ~1.3-1.4x on every set (on\n\
+     y^2 = x^3 + 1 both sides run the trace-zero prepared schedule, whose\n\
+     image inversion the product also shares). The curve-mul, in-g1 and\n\
+     hash-to-g1 rows are the rest of a single update's verification: the\n\
+     x-only Montgomery ladder, the membership test that needs no y, and H1's\n\
+     cofactor clearing on the ladder, each against the reference\n\
+     double-and-add (tools/bench_guard.ml holds these ratios as CI floors).\n"
 
 (* [--smoke]: bit-identity of every kernel path against the generic
    reference, across all five named parameter sets. *)
@@ -1247,49 +1137,16 @@ let e1kernel_smoke () =
    same result on-device with the kernel pairing stack. The helpers run
    in-process; their serve time — and the offline blinding-tuple
    generation — accumulates on an instrumented clock and is subtracted
-   INSIDE each sample window, so the client rows measure exactly the
-   thin client's online arithmetic (wrap, unwrap, the membership and
-   secret-exponent cross-run checks), not helper or precompute work.
-   Reference and client batches alternate as in [paired_time_alloc].
+   INSIDE each sample window ([measure]'s [excluded]), so the client
+   rows measure exactly the thin client's online arithmetic (wrap,
+   unwrap, the membership and secret-exponent cross-run checks), not
+   helper or precompute work.
 
    Before any timing, each set runs the forgery gate: the Liu-Cao
    mu-shift MUST pass the published check (that bug is a reproduction
    target, pinned here and in test_delegate.ml) and MUST be rejected by
    the hardened check. A bench run on a build where either direction
    flipped dies instead of reporting numbers for a broken protocol. *)
-
-let e14_paired_client ?(samples = 5) ~subtract fref fker =
-  let calibrate f =
-    ignore (f ());
-    let t0 = Sys.time () in
-    ignore (f ());
-    let once = Stdlib.max 1e-7 (Sys.time () -. t0) in
-    Stdlib.max 1 (int_of_float (0.02 /. once))
-  in
-  let iref = calibrate fref in
-  let iker = calibrate fker in
-  let one_ref () =
-    let t0 = Sys.time () in
-    for _ = 1 to iref do
-      ignore (fref ())
-    done;
-    (Sys.time () -. t0) /. float_of_int iref
-  in
-  let one_ker () =
-    let s0 = !subtract in
-    let t0 = Sys.time () in
-    for _ = 1 to iker do
-      ignore (fker ())
-    done;
-    (Sys.time () -. t0 -. (!subtract -. s0)) /. float_of_int iker
-  in
-  let sref = ref [] and sker = ref [] in
-  for _ = 1 to samples do
-    sref := one_ref () :: !sref;
-    sker := one_ker () :: !sker
-  done;
-  let best l = List.fold_left Stdlib.min infinity l *. 1e9 in
-  (best !sref, best !sker)
 
 let e14_forgery_gate p dctx drbg =
   let a = Pairing.mul_g p (Pairing.random_scalar p drbg) in
@@ -1368,8 +1225,8 @@ let e14delegate_report () =
         bls
       in
       (* raw pairing: on-device kernel vs delegated (hardened) *)
-      let tr, tk =
-        e14_paired_client ~subtract:clock
+      let (tr, _), (tk, _) =
+        measure2 ~excluded:clock
           (fun () -> Pairing.pairing p a b)
           (fun () ->
             match
@@ -1386,8 +1243,8 @@ let e14delegate_report () =
       let srv_sec14, srv_pub14 = Tre.Server.keygen p drbg in
       let vrf = Tre.Verifier.create p srv_pub14 in
       let upd14 = Tre.issue_update p srv_sec14 "e14-epoch" in
-      let tr, tk =
-        e14_paired_client ~subtract:clock
+      let (tr, _), (tk, _) =
+        measure2 ~excluded:clock
           (fun () ->
             if not (Tre.verify_update_with p vrf upd14) then
               failwith "E14: on-device verify rejected a valid update")
@@ -1401,16 +1258,15 @@ let e14delegate_report () =
       in
       emit set_name "delegate-verify" tr tk;
       (* offline phase: one delegated operation's worth of tuples *)
-      let t_off =
-        median_time (fun () ->
-            (Delegate.blind dctx drbg, Delegate.blind dctx drbg))
+      let t_off, _ =
+        measure1 (fun () -> (Delegate.blind dctx drbg, Delegate.blind dctx drbg))
       in
       emit set_name "delegate-offline (2 tuples)" nan t_off;
       (* helper-side work for one wrap (its 2 + 3 query slots) *)
       let w = Delegate.wrap dctx (Delegate.blind dctx drbg) ~a ~b in
       let q1 = Delegate.queries1 w and q2 = Delegate.queries2 w in
-      let t_helper =
-        median_time (fun () -> (Delegate.serve p q1, Delegate.serve p q2))
+      let t_helper, _ =
+        measure1 (fun () -> (Delegate.serve p q1, Delegate.serve p q2))
       in
       emit set_name "delegate-helper (1 wrap)" nan t_helper)
     e1kernel_sets;
@@ -1524,16 +1380,9 @@ let batch_smoke () =
 
 let a1_report () =
   heading "A1 (ablation): shared final exponentiation in verification";
-  let naive_verify () =
-    (* The pre-optimization verification: two full pairings compared. *)
-    ignore
-      (Pairing.gt_equal
-         (Pairing.pairing prms srv_pub.Tre.Server.sg
-            (Pairing.hash_to_g1 prms upd.Tre.update_time))
-         (Pairing.pairing prms srv_pub.Tre.Server.g upd.Tre.update_value))
-  in
   let h1t = Pairing.hash_to_g1 prms upd.Tre.update_time in
-  let naive_eq () =
+  (* The pre-optimization verification: two full pairings compared. *)
+  let naive_verify () =
     ignore
       (Pairing.gt_equal
          (Pairing.pairing prms srv_pub.Tre.Server.sg h1t)
@@ -1545,10 +1394,7 @@ let a1_report () =
          ~lhs:(srv_pub.Tre.Server.sg, h1t)
          ~rhs:(srv_pub.Tre.Server.g, upd.Tre.update_value))
   in
-  ignore naive_verify;
-  let naive_verify = naive_eq in
-  let t_naive, w_naive = median_time_alloc naive_verify
-  and t_prod, w_prod = median_time_alloc product_verify in
+  let (t_naive, w_naive), (t_prod, w_prod) = measure2 naive_verify product_verify in
   record "A1"
     [ ("operation", S "update-verify"); ("ns_naive", F t_naive);
       ("alloc_words_naive", F w_naive); ("ns_product", F t_prod);
@@ -1577,8 +1423,7 @@ let a1_report () =
          (Pairing.h2 prms k (String.length ct4.Multi_server.v)))
   in
   let product_ms () = ignore (Multi_server.decrypt prms a4 upds4 ct4) in
-  let t_naive, w_naive = median_time_alloc naive_ms
-  and t_prod, w_prod = median_time_alloc product_ms in
+  let (t_naive, w_naive), (t_prod, w_prod) = measure2 naive_ms product_ms in
   record "A1"
     [ ("operation", S "multi-server-decrypt-n4"); ("ns_naive", F t_naive);
       ("alloc_words_naive", F w_naive); ("ns_product", F t_prod);
@@ -1620,7 +1465,7 @@ let e10_report () =
   assert (not (Tre.Verifier.verify_updates prms verifier forged));
   let e10_rows = ref [] in
   let t_serial, w_serial =
-    median_time_alloc ~samples:11 (fun () ->
+    measure1 ~samples:11 (fun () ->
         ignore (List.for_all (Tre.verify_update_with prms verifier) updates))
   in
   Printf.printf "%-22s %8s %13s %13s %9s\n" "verify mode" "domains" "time/batch"
@@ -1641,11 +1486,11 @@ let e10_report () =
      plain public API). The speedup column stays anchored to the
      stronger prepared-serial baseline below. *)
   row "serial (cold verifier)" "-"
-    (median_time_alloc ~samples:11 (fun () ->
+    (measure1 ~samples:11 (fun () ->
          ignore (List.for_all (Tre.verify_update prms srv_pub) updates)));
   row "serial per-item" "-" (t_serial, w_serial);
   row "batched (2 pairings)" "-"
-    (median_time_alloc ~samples:11 (fun () ->
+    (measure1 ~samples:11 (fun () ->
          ignore (Tre.Verifier.verify_updates prms verifier updates)));
   List.iter
     (fun d ->
@@ -1655,7 +1500,7 @@ let e10_report () =
       assert (Tre.Verifier.verify_updates ~pool prms verifier updates);
       assert (not (Tre.Verifier.verify_updates ~pool prms verifier forged));
       row "batched + pool" (string_of_int d)
-        (median_time_alloc ~samples:11 (fun () ->
+        (measure1 ~samples:11 (fun () ->
              ignore (Tre.Verifier.verify_updates ~pool prms verifier updates)));
       Pool.shutdown pool)
     [ 1; 2; 4; 8 ];
@@ -1667,7 +1512,7 @@ let e10_report () =
       let pool = Pool.create ~domains:d ~oversubscribe:true () in
       assert (Tre.Verifier.verify_updates ~pool prms verifier updates);
       row "batched + oversub" (string_of_int d)
-        (median_time_alloc ~samples:11 (fun () ->
+        (measure1 ~samples:11 (fun () ->
              ignore (Tre.Verifier.verify_updates ~pool prms verifier updates)));
       Pool.shutdown pool)
     [ 2; 4 ];
@@ -1723,13 +1568,13 @@ let e10_report () =
   in
   let serial_pts = List.map (fun (u, ct) -> Tre.decrypt prms usr_sec u ct) cts in
   let t_dec_serial =
-    median_time_alloc ~samples:11 (fun () ->
+    measure1 ~samples:11 (fun () ->
         ignore (List.map (fun (u, ct) -> Tre.decrypt prms usr_sec u ct) cts))
   in
   let pool = Pool.create ~domains:4 () in
   assert (Tre.decrypt_batch ~pool prms usr_sec cts = serial_pts);
   let t_dec_pool =
-    median_time_alloc ~samples:11 (fun () ->
+    measure1 ~samples:11 (fun () ->
         ignore (Tre.decrypt_batch ~pool prms usr_sec cts))
   in
   Pool.shutdown pool;
@@ -1790,17 +1635,15 @@ let e12_report () =
   let tree = Time_tree.create ~depth:8 in
   let ct = Resilient_tre.encrypt prms tree srv_pub usr_pub ~release_epoch:100 rng msg32 in
   let cover = Resilient_tre.issue_cover prms tree srv_sec ~epoch:200 in
-  let t_enc, w_enc =
-    median_time_alloc (fun () ->
-        ignore (Resilient_tre.encrypt prms tree srv_pub usr_pub ~release_epoch:100 rng msg32))
+  let m =
+    measure
+      [| (fun () ->
+           ignore
+             (Resilient_tre.encrypt prms tree srv_pub usr_pub ~release_epoch:100 rng msg32));
+         (fun () -> ignore (Resilient_tre.decrypt prms tree usr_sec ~cover ct));
+         (fun () -> ignore (Resilient_tre.issue_cover prms tree srv_sec ~epoch:200)) |]
   in
-  let t_dec, w_dec =
-    median_time_alloc (fun () -> ignore (Resilient_tre.decrypt prms tree usr_sec ~cover ct))
-  in
-  let t_cover, w_cover =
-    median_time_alloc (fun () ->
-        ignore (Resilient_tre.issue_cover prms tree srv_sec ~epoch:200))
-  in
+  let (t_enc, w_enc), (t_dec, w_dec), (t_cover, w_cover) = (m.(0), m.(1), m.(2)) in
   record "E12-timing"
     [ ("depth", I 8); ("ns_encrypt", F t_enc); ("alloc_words_encrypt", F w_enc);
       ("ns_decrypt", F t_dec); ("alloc_words_decrypt", F w_dec);
@@ -1824,7 +1667,7 @@ let e11_report () =
   heading "E11: threshold (k-of-n) update issuance (mid128)";
   Printf.printf "%-10s %14s %14s %14s %16s\n" "(k, n)" "partial issue"
     "partial verify" "combine k" "single server";
-  let single = median_time (fun () -> ignore (Tre.issue_update prms srv_sec t_label)) in
+  let single, _ = measure1 (fun () -> ignore (Tre.issue_update prms srv_sec t_label)) in
   List.iter
     (fun (k, n) ->
       let rng = Hashing.Drbg.create ~seed:(Printf.sprintf "e11-%d-%d" k n) () in
@@ -1833,17 +1676,17 @@ let e11_report () =
         List.map (fun s -> Threshold_server.issue_partial prms s t_label) servers
       in
       let quorum = List.filteri (fun i _ -> i < k) partials in
-      let t_issue, w_issue =
-        median_time_alloc (fun () ->
-            ignore (Threshold_server.issue_partial prms (List.hd servers) t_label))
+      let m =
+        measure
+          [| (fun () ->
+               ignore (Threshold_server.issue_partial prms (List.hd servers) t_label));
+             (fun () ->
+               ignore
+                 (Threshold_server.verify_partial prms system t_label (List.hd partials)));
+             (fun () -> ignore (Threshold_server.combine prms system t_label quorum)) |]
       in
-      let t_verify, w_verify =
-        median_time_alloc (fun () ->
-            ignore (Threshold_server.verify_partial prms system t_label (List.hd partials)))
-      in
-      let t_combine, w_combine =
-        median_time_alloc (fun () ->
-            ignore (Threshold_server.combine prms system t_label quorum))
+      let (t_issue, w_issue), (t_verify, w_verify), (t_combine, w_combine) =
+        (m.(0), m.(1), m.(2))
       in
       record "E11"
         [ ("k", I k); ("n", I n); ("ns_partial_issue", F t_issue);
@@ -1867,7 +1710,6 @@ let e11_report () =
 
 (* --- driver --- *)
 
-
 let () =
   if smoke then begin
     e1opt_smoke ();
@@ -1888,22 +1730,18 @@ let () =
   Printf.printf "parameters: mid128 (q %d bits, p %d bits), toy64 for simulations\n"
     (Bigint.bit_length prms.Pairing.q)
     (Bigint.bit_length prms.Pairing.p);
-  print_string "\nrunning bechamel micro-benchmarks...\n";
-  flush stdout;
-  let groups = [ e1_tests; e2_tests; e5_tests; e6_tests; e9_tests ] in
-  let results = run_benchmarks (Test.make_grouped ~name:"" ~fmt:"%s%s" groups) in
-  e1_report results;
+  e1_report ();
   e1opt_report ();
   e1kernel_report ();
   e1b_report ();
-  e2_report results;
+  e2_report ();
   e3_report ();
   e4_report ();
-  e5_report results;
-  e6_report results;
+  e5_report ();
+  e6_report ();
   e7_report ();
   e8_report ();
-  e9_report results;
+  e9_report ();
   e10_report ();
   e11_report ();
   e12_report ();

@@ -206,20 +206,6 @@ let test_mont_inv_roundtrip_equiv () =
         (values m 8))
     (synthetic_moduli @ named_moduli ())
 
-(* Words allocated per call of [f] over 50 calls, after one warm-up call
-   that grows the per-domain scratch. [Gc.minor_words], not
-   [Gc.allocated_bytes]: on OCaml 5.1 the latter reads the same figure
-   as the former, so dividing it by 8 let up to 8 words per call
-   through. *)
-let words_per_call f =
-  f ();
-  let rounds = 50 in
-  let before = Gc.minor_words () in
-  for _ = 1 to rounds do
-    f ()
-  done;
-  (Gc.minor_words () -. before) /. float_of_int rounds
-
 (* The hot kernels must stay allocation-free: their scratch is per-domain
    and grow-only, so after a warm-up call the steady state allocates
    nothing. Guards the binary-extgcd inversion (and the mul it ends on)
@@ -234,7 +220,7 @@ let test_inv_allocation_free () =
           let kc = Limbs.create m in
           let a = Limbs.of_bigint kc (B.erem (random_bigint 40) m) in
           let d = Limbs.alloc kc in
-          let per_op = words_per_call (fun () -> Limbs.inv_into kc d a) in
+          let per_op = Alloc_meter.words_per_call (fun () -> Limbs.inv_into kc d a) in
           if per_op > 1.0 then
             Alcotest.failf "inv_into allocates %.1f words/op at %s" per_op n)
     [ "toy64"; "std160" ]
@@ -251,7 +237,7 @@ let test_reduced_allocation_free () =
       let d = Limbs.alloc kc in
       List.iter
         (fun (op, kernel) ->
-          let per_op = words_per_call kernel in
+          let per_op = Alloc_meter.words_per_call kernel in
           if per_op > 1.0 then
             Alcotest.failf "%s allocates %.1f words/op at %s" op per_op n)
         [

@@ -13,7 +13,10 @@
    - cross-kind confusion: a valid object of kind A is rejected by every
      kind-B decoder;
    - cross-params confusion: a valid object under parameter set P is
-     rejected by every decoder running under parameter set P'.
+     rejected by every decoder running under parameter set P';
+   - archive labels: a mutated epoch label crosses the archive-query
+     codec unchanged, and the archive serves it only when it is the
+     canonical label of a released epoch.
 
    Iteration counts are bounded so `dune runtest` stays quick; set
    TRE_WIRE_FUZZ_ITERS (e.g. 10000) for the deeper CI pass. *)
@@ -391,6 +394,78 @@ let garbage_never_crashes () =
       ts
   done
 
+(* Mutations of "utc#17" after the '#': a byte inserted, deleted or
+   replaced with a digit, '0', a sign, '_', a radix letter, 'u', a space
+   or a random byte, or the digits prefixed with zeros. [int_of_string]
+   reads many of them as a number ("utc#017", "utc#+17", "utc#1_7"), but
+   only what [Timeline.label] prints may name an epoch, and a core that
+   has released epoch 17 must serve exactly those labels up to 17 — with
+   the update signed for that label — and encode nothing for any
+   other. *)
+let archive_label_mutations () =
+  let prms = Pairing.toy64 () in
+  let tl = Timeline.create ~granularity:10.0 () in
+  let rng = Hashing.Drbg.create ~seed:"archive-label-mutations" () in
+  let secret, _ = Tre.Server.keygen prms rng in
+  let core = Server_core.create ~wrap:Fun.id prms tl secret in
+  ignore (Server_core.release core 17);
+  let base = "utc#17" in
+  let digits = String.index base '#' + 1 in
+  let n = String.length base in
+  let edit_char () =
+    match pick rng 11 with
+    | 0 -> Char.chr (Char.code '0' + pick rng 10)
+    | 10 -> Char.chr (byte rng)
+    | i -> "0+-_xobu ".[i - 1]
+  in
+  (* [base] with [del] bytes at [at] replaced by [ins] *)
+  let splice at del ins =
+    String.sub base 0 at ^ ins ^ String.sub base (at + del) (n - at - del)
+  in
+  let one () = String.make 1 (edit_char ()) in
+  let within () = digits + pick rng (n - digits) in
+  let mutation () =
+    match pick rng 4 with
+    | 0 -> splice (digits + pick rng (n - digits + 1)) 0 (one ())
+    | 1 -> splice (within ()) 1 ""
+    | 2 -> splice (within ()) 1 (one ())
+    | _ -> splice digits 0 (String.make (1 + pick rng 3) '0')
+  in
+  let hits = ref 0 and refused = ref 0 and unknown = ref 0 in
+  for _ = 1 to iters_per_kind do
+    let lbl = mutation () in
+    let ctx = Printf.sprintf "%S" lbl in
+    (match
+       Netmsg.archive_query_of_bytes prms (Netmsg.archive_query_to_bytes prms lbl)
+     with
+    | Ok back when back = lbl -> ()
+    | Ok back -> Alcotest.failf "%s came back as %S" ctx back
+    | Error e -> Alcotest.failf "%s: query rejected: %s" ctx e);
+    let epoch = Timeline.epoch_of_label tl lbl in
+    (match epoch with
+    | Some e when e < 0 || Timeline.label tl e <> lbl ->
+        Alcotest.failf "%s read as epoch %d" ctx e
+    | Some _ | None -> ());
+    let encoded = Server_core.updates_encoded core in
+    (match (Server_core.lookup core lbl, epoch) with
+    | Ok b, Some e when e <= 17 ->
+        incr hits;
+        if b <> Tre.update_to_bytes prms (Tre.issue_update prms secret lbl) then
+          Alcotest.failf "%s served another label's update" ctx
+    | Error Server_core.Future_refused, Some e when e > 17 -> incr refused
+    | Error Server_core.Unknown_label, None -> incr unknown
+    | Ok _, _ -> Alcotest.failf "%s served" ctx
+    | Error Server_core.Future_refused, _ -> Alcotest.failf "%s refused as future" ctx
+    | Error Server_core.Unknown_label, _ -> Alcotest.failf "%s unknown" ctx);
+    let grew = Server_core.updates_encoded core - encoded in
+    if grew > (match epoch with Some e when e <= 17 -> 1 | _ -> 0) then
+      Alcotest.failf "%s encoded %d updates" ctx grew
+  done;
+  (* Every answer was reached, so the grammar was probed on all sides. *)
+  if !hits = 0 || !refused = 0 || !unknown = 0 then
+    Alcotest.failf "outcomes: %d served, %d refused, %d unknown" !hits !refused
+      !unknown
+
 let () =
   let per_params name =
     match Pairing.by_name name with
@@ -410,5 +485,6 @@ let () =
         [
           Alcotest.test_case "params confusion" `Quick cross_params_rejection;
           Alcotest.test_case "garbage never crashes" `Quick garbage_never_crashes;
+          Alcotest.test_case "archive label mutations" `Quick archive_label_mutations;
         ] );
     ]
