@@ -29,72 +29,228 @@ let test_encrypt_prevalidated_equivalent () =
   let upd = Tre.issue_update prms srv_sec t_release in
   Alcotest.(check string) "roundtrip" msg (Tre.decrypt prms alice_sec upd ct)
 
-(* [Tre.encrypt] computes U on the generator's fixed-base table and K as
-   a GT power; both must reproduce the paper's formula byte for byte,
-   U = r.G and K = e^(r.asG, H1(T)), here on the reference double-and-add
-   and the reference pairing with r drawn from the same rng stream. The
-   Encryptor, which shares the one-shot formula, is pinned the same way,
-   and so are ID-TRE's one-shot sender and Encryptor, on the same server
-   key. *)
+(* Every variant's sender must reproduce the paper's formula byte for
+   byte: U = r.G and K = e^(r.P, L) for its receiver point P and lock
+   point L (§5.1: P = asG, L = H1(T)), here on the reference
+   double-and-add and the reference pairing with r drawn from the same
+   rng stream. [Tre.encrypt] and its Encryptor compute U on the
+   generator's fixed-base table and K as a GT power; so are pinned the
+   FO (r = H3) and REACT conversions (§5), ID-TRE (P = sG,
+   L = H1(ID) + H1(T), §5.2), N servers (one U per server, P = K_new,
+   §5.3.5), policy locks (L = sum H1(C_i), §5.3.2), the resilient
+   headers (one per ancestor label, §6) and E2's hybrid baseline. The
+   server side is s.H1(m) (§5.3.1): an update, an ID-TRE private key and
+   a threshold partial. Each ciphertext also decrypts. *)
 let test_encrypt_is_paper_formula () =
   List.iter
     (fun name ->
       let prms = Option.get (Pairing.by_name name) in
       let curve = prms.Pairing.curve in
+      let mul = Curve.mul_double_add curve in
+      let h1 s = mul prms.Pairing.cofactor (Pairing.hash_to_g1_unclamped prms s) in
+      let pt = Curve.to_bytes curve in
+      let xor = Hashing.Kdf.xor in
       let krng = Hashing.Drbg.create ~seed:("paper-formula|" ^ name) () in
-      let custom = Curve.mul_double_add curve (B.of_int 7) prms.Pairing.g in
+      let custom = mul (B.of_int 7) prms.Pairing.g in
+      let id = "bob@example.org" in
+      (* A threshold partial is s_i.H1(T) for the dealer's i-th share:
+         replay the dealer's draws (s, then the shares) to learn s_1. *)
+      let trng () = Hashing.Drbg.create ~seed:("paper-formula-threshold|" ^ name) () in
+      let _, share_servers = Threshold_server.setup prms (trng ()) ~k:2 ~n:3 in
+      let s1 =
+        let rng = trng () in
+        let secret = Pairing.random_scalar prms rng in
+        (List.hd (Shamir.split prms rng ~secret ~k:2 ~n:3)).Shamir.value
+      in
+      Alcotest.(check string) (name ^ ": threshold partial")
+        (pt (mul s1 (h1 t_release)))
+        (pt (Threshold_server.issue_partial prms (List.hd share_servers) t_release)
+             .Threshold_server.value);
       List.iter
         (fun (label, g) ->
-          let _, srv = Tre.Server.keygen ?g prms krng in
-          let _, pk = Tre.User.keygen prms srv krng in
+          let ssec, srv = Tre.Server.keygen ?g prms krng in
+          let asec, pk = Tre.User.keygen prms srv krng in
           let msg = "paper formula, " ^ label in
+          let n = String.length msg in
           let fresh () = Hashing.Drbg.create ~seed:("paper-formula-r|" ^ name ^ label) () in
+          let what = Printf.sprintf "%s, %s" name label in
+          let check_str w = Alcotest.(check string) (what ^ ": " ^ w) in
+          let s = Tre.Server.secret_to_scalar ssec in
+          let upd = Tre.issue_update prms ssec t_release in
+          check_str "issue_update" (pt (mul s (h1 t_release))) (pt upd.Tre.update_value);
+          check_str "Id_tre extract" (pt (mul s (h1 id)))
+            (pt (Id_tre.Server.extract prms ssec id));
           let paper =
             let r = Pairing.random_scalar prms (fresh ()) in
-            let h =
-              Curve.mul_double_add curve prms.Pairing.cofactor
-                (Pairing.hash_to_g1_unclamped prms t_release)
-            in
-            let k = Pairing.pairing_ref prms (Curve.mul_double_add curve r pk.Tre.User.asg) h in
+            let k = Pairing.pairing_ref prms (mul r pk.Tre.User.asg) (h1 t_release) in
             Tre.ciphertext_to_bytes prms
-              { Tre.u = Curve.mul_double_add curve r srv.Tre.Server.g;
-                v = Hashing.Kdf.xor msg (Pairing.h2 prms k (String.length msg));
+              { Tre.u = mul r srv.Tre.Server.g;
+                v = xor msg (Pairing.h2 prms k n);
                 release_time = t_release }
           in
-          let what = Printf.sprintf "%s, %s" name label in
-          Alcotest.(check string) (what ^ ": encrypt") paper
+          check_str "encrypt" paper
             (Tre.ciphertext_to_bytes prms
                (Tre.encrypt prms srv pk ~release_time:t_release (fresh ()) msg));
-          Alcotest.(check string) (what ^ ": Encryptor") paper
+          check_str "Encryptor" paper
             (Tre.ciphertext_to_bytes prms
                (Tre.Encryptor.encrypt (Tre.Encryptor.create prms srv pk)
                   ~release_time:t_release (fresh ()) msg));
+          check_str "decrypt" msg
+            (Tre.decrypt prms asec upd
+               (Result.get_ok (Tre.ciphertext_of_bytes prms paper)));
           (* ID-TRE's sender on the same server key: U = r.G and
              K = e^(r.sG, H1(ID) + H1(T)). *)
-          let id = "bob@example.org" in
           let id_paper =
             let r = Pairing.random_scalar prms (fresh ()) in
-            let h1 s =
-              Curve.mul_double_add curve prms.Pairing.cofactor
-                (Pairing.hash_to_g1_unclamped prms s)
-            in
             let k =
-              Pairing.pairing_ref prms
-                (Curve.mul_double_add curve r srv.Tre.Server.sg)
+              Pairing.pairing_ref prms (mul r srv.Tre.Server.sg)
                 (Curve.add curve (h1 id) (h1 t_release))
             in
             Id_tre.ciphertext_to_bytes prms
-              { Id_tre.u = Curve.mul_double_add curve r srv.Tre.Server.g;
-                v = Hashing.Kdf.xor msg (Pairing.h2 prms k (String.length msg));
+              { Id_tre.u = mul r srv.Tre.Server.g;
+                v = xor msg (Pairing.h2 prms k n);
                 release_time = t_release }
           in
-          Alcotest.(check string) (what ^ ": Id_tre.encrypt") id_paper
+          check_str "Id_tre.encrypt" id_paper
             (Id_tre.ciphertext_to_bytes prms
                (Id_tre.encrypt prms srv id ~release_time:t_release (fresh ()) msg));
-          Alcotest.(check string) (what ^ ": Id_tre.Encryptor") id_paper
+          check_str "Id_tre.Encryptor" id_paper
             (Id_tre.ciphertext_to_bytes prms
                (Id_tre.Encryptor.encrypt (Id_tre.Encryptor.create prms srv) id
-                  ~release_time:t_release (fresh ()) msg)))
+                  ~release_time:t_release (fresh ()) msg));
+          (* FO: the seed is drawn first and r = H3(seed, M, T). *)
+          let fo_paper =
+            let seed = Hashing.Drbg.generate (fresh ()) 32 in
+            let r = Tre_fo.h3 prms ~seed ~msg ~release_time:t_release in
+            let k = Pairing.pairing_ref prms (mul r pk.Tre.User.asg) (h1 t_release) in
+            Tre_fo.ciphertext_to_bytes prms
+              { Tre_fo.u = mul r srv.Tre.Server.g;
+                v = xor seed (Pairing.h2 prms k 32);
+                w = xor msg (Hashing.Kdf.mask ("TRE-FO-H4|" ^ seed) n);
+                release_time = t_release }
+          in
+          check_str "Tre_fo.encrypt" fo_paper
+            (Tre_fo.ciphertext_to_bytes prms
+               (Tre_fo.encrypt prms srv pk ~release_time:t_release (fresh ()) msg));
+          check_str "Tre_fo.decrypt" msg
+            (Tre_fo.decrypt prms srv pk asec upd
+               (Result.get_ok (Tre_fo.ciphertext_of_bytes prms fo_paper)));
+          (* REACT: the seed, then r. *)
+          let react_paper =
+            let rng = fresh () in
+            let seed = Hashing.Drbg.generate rng 32 in
+            let r = Pairing.random_scalar prms rng in
+            let u = mul r srv.Tre.Server.g in
+            let k = Pairing.pairing_ref prms (mul r pk.Tre.User.asg) (h1 t_release) in
+            let c1 = xor seed (Pairing.h2 prms k 32) in
+            let c2 = xor msg (Hashing.Kdf.mask ("TRE-REACT-G|" ^ seed) n) in
+            Tre_react.ciphertext_to_bytes prms
+              { Tre_react.u; c1; c2;
+                tag = Tre_react.tag ~r:seed ~msg ~u_bytes:(pt u) ~c1 ~c2;
+                release_time = t_release }
+          in
+          check_str "Tre_react.encrypt" react_paper
+            (Tre_react.ciphertext_to_bytes prms
+               (Tre_react.encrypt prms srv pk ~release_time:t_release (fresh ()) msg));
+          check_str "Tre_react.decrypt" msg
+            (Tre_react.decrypt prms asec upd
+               (Result.get_ok (Tre_react.ciphertext_of_bytes prms react_paper)));
+          (* Three servers: U_i = r.G_i and K = e^(r.K_new, H1(T)). *)
+          let others = List.init 2 (fun _ -> Tre.Server.keygen ?g prms krng) in
+          let servers = srv :: List.map snd others in
+          let msec, mpk = Multi_server.receiver_keygen prms servers krng in
+          let multi_paper =
+            let r = Pairing.random_scalar prms (fresh ()) in
+            let k = Pairing.pairing_ref prms (mul r mpk.Multi_server.k_new) (h1 t_release) in
+            Multi_server.ciphertext_to_bytes prms
+              { Multi_server.us =
+                  Array.of_list
+                    (List.map (fun (sv : Tre.Server.public) -> mul r sv.Tre.Server.g) servers);
+                v = xor msg (Pairing.h2 prms k n);
+                release_time = t_release }
+          in
+          check_str "Multi_server.encrypt" multi_paper
+            (Multi_server.ciphertext_to_bytes prms
+               (Multi_server.encrypt prms servers mpk ~release_time:t_release (fresh ()) msg));
+          check_str "Multi_server.decrypt" msg
+            (Multi_server.decrypt prms msec
+               (upd :: List.map (fun (sec, _) -> Tre.issue_update prms sec t_release) others)
+               (Result.get_ok (Multi_server.ciphertext_of_bytes prms multi_paper)));
+          (* Two conditions: K = e^(r.asG, H1(C_1) + H1(C_2)). *)
+          let conditions = [ t_release; "audit passed" ] in
+          let policy = Policy_lock.encrypt prms srv pk ~conditions (fresh ()) msg in
+          let r = Pairing.random_scalar prms (fresh ()) in
+          let lock =
+            List.fold_left
+              (fun acc c -> Curve.add curve acc (h1 c))
+              Curve.infinity (List.sort_uniq String.compare conditions)
+          in
+          let k = Pairing.pairing_ref prms (mul r pk.Tre.User.asg) lock in
+          check_str "Policy_lock U" (pt (mul r srv.Tre.Server.g)) (pt policy.Policy_lock.u);
+          check_str "Policy_lock V" (xor msg (Pairing.h2 prms k n)) policy.Policy_lock.v;
+          check_str "Policy_lock.decrypt" msg
+            (Policy_lock.decrypt prms asec
+               (List.map (Policy_lock.issue_witness prms ssec) conditions)
+               policy);
+          (* Depth 4: r, then the message key; one header per ancestor,
+             K = e^(r.asG, H1(label)). *)
+          let tree = Time_tree.create ~depth:4 in
+          let release_epoch = 5 in
+          let resilient =
+            Resilient_tre.encrypt prms tree srv pk ~release_epoch (fresh ()) msg
+          in
+          let rng = fresh () in
+          let r = Pairing.random_scalar prms rng in
+          let msg_key = Hashing.Drbg.generate rng 32 in
+          check_str "Resilient_tre U" (pt (mul r srv.Tre.Server.g))
+            (pt resilient.Resilient_tre.u);
+          List.iter2
+            (fun node (h : Resilient_tre.header) ->
+              let l = Time_tree.node_label tree node in
+              let k = Pairing.pairing_ref prms (mul r pk.Tre.User.asg) (h1 l) in
+              check_str ("Resilient_tre header " ^ l)
+                (l ^ xor msg_key (Pairing.h2 prms k 32))
+                (h.Resilient_tre.node_label ^ h.Resilient_tre.blob))
+            (Time_tree.ancestors tree release_epoch)
+            resilient.Resilient_tre.headers;
+          check_str "Resilient_tre body"
+            (xor msg (Hashing.Kdf.mask ("TRE-RESILIENT-DEM|" ^ msg_key) n))
+            resilient.Resilient_tre.body;
+          check_str "Resilient_tre.decrypt" msg
+            (Option.get
+               (Resilient_tre.decrypt prms tree asec
+                  ~cover:(Resilient_tre.issue_cover prms tree ssec ~epoch:release_epoch)
+                  resilient));
+          (* E2's hybrid: k1, k2, then ElGamal r1 on the system generator
+             and Boneh-Franklin r2 on the server's, K = e^(r2.sG, H1(T)). *)
+          let x, hpk = Hybrid_baseline.receiver_keygen prms krng in
+          let hybrid =
+            Hybrid_baseline.encrypt prms srv hpk ~release_time:t_release (fresh ()) msg
+          in
+          let rng = fresh () in
+          let k1 = Hashing.Drbg.generate rng 32 in
+          let k2 = Hashing.Drbg.generate rng 32 in
+          let r1 = Pairing.random_scalar prms rng in
+          let r2 = Pairing.random_scalar prms rng in
+          let gid = Pairing.pairing_ref prms (mul r2 srv.Tre.Server.sg) (h1 t_release) in
+          let dem =
+            Hashing.Kdf.mask
+              ("HYB-DEM|" ^ Hashing.Hkdf.derive ~info:"HYB-combine" (k1 ^ k2) n)
+              n
+          in
+          check_str "Hybrid_baseline"
+            (String.concat "|"
+               [ pt (mul r1 prms.Pairing.g);
+                 xor k1 (Hashing.Kdf.mask ("HYB-PKE|" ^ pt (mul r1 hpk)) 32);
+                 pt (mul r2 srv.Tre.Server.g);
+                 xor k2 (Pairing.h2 prms gid 32);
+                 xor msg dem ])
+            (String.concat "|"
+               [ pt hybrid.Hybrid_baseline.u1; hybrid.Hybrid_baseline.c1;
+                 pt hybrid.Hybrid_baseline.u2; hybrid.Hybrid_baseline.c2;
+                 hybrid.Hybrid_baseline.body ]);
+          check_str "Hybrid_baseline.decrypt" msg
+            (Hybrid_baseline.decrypt prms x upd hybrid))
         [ ("generator", None); ("custom generator", Some custom) ])
     Pairing.all_names
 
