@@ -2,18 +2,28 @@ type secret = Bigint.t
 type public = { g : Curve.point; pk : Curve.point }
 type signature = Curve.point
 
-let keypair prms s g = (s, { g; pk = Curve.mul prms.Pairing.curve s g })
+(* A custom generator must be a non-identity G1 point: under G = O every
+   public point is O and both sides of the verification equation are 1,
+   and a component outside G1 is invisible to the pairing. *)
+let keypair prms s g =
+  let g =
+    match g with
+    | None -> prms.Pairing.g
+    | Some g ->
+        if Curve.is_infinity g || not (Pairing.in_g1 prms g) then
+          invalid_arg "Bls: generator must be a non-identity G1 point";
+        g
+  in
+  (s, { g; pk = Curve.mul prms.Pairing.curve s g })
 
-let keygen ?g prms rng =
-  let g = match g with Some g -> g | None -> prms.Pairing.g in
-  if Curve.is_infinity g then invalid_arg "Bls.keygen: identity generator";
-  keypair prms (Pairing.random_scalar prms rng) g
+let keygen ?g prms rng = keypair prms (Pairing.random_scalar prms rng) g
 
 let secret_of_scalar prms s ?g () =
   if Bigint.sign s <= 0 || Bigint.compare s prms.Pairing.q >= 0 then
     invalid_arg "Bls.secret_of_scalar: scalar out of range";
-  let g = match g with Some g -> g | None -> prms.Pairing.g in
   keypair prms s g
+
+let secret_to_scalar s = s
 
 let sign prms secret msg =
   Curve.mul prms.Pairing.curve secret (Pairing.hash_to_g1 prms msg)

@@ -16,12 +16,17 @@ type signature = Curve.point
 
 val keygen : ?g:Curve.point -> Pairing.params -> Hashing.Drbg.t -> secret * public
 (** Fresh keypair; the generator defaults to the system generator but may
-    be any non-identity subgroup point (servers may pick their own). *)
+    be any non-identity subgroup point (servers may pick their own).
+    Raises [Invalid_argument] if [g] is the identity or outside G1. *)
 
 val secret_of_scalar : Pairing.params -> Bigint.t -> ?g:Curve.point -> unit -> secret * public
-(** Deterministic keypair from an existing scalar in [1, q-1] (used by the
-    time server whose TRE secret doubles as its signing secret).
-    Raises [Invalid_argument] if the scalar is out of range. *)
+(** Deterministic keypair from an existing scalar in [1, q-1]: a time
+    server's key from its key file ({!Tre.Server.secret_of_scalar}), a
+    threshold share-server's from its share. Raises [Invalid_argument] if
+    the scalar is out of range, or [g] is the identity or outside G1. *)
+
+val secret_to_scalar : secret -> Bigint.t
+(** The scalar s, for a key file. *)
 
 val sign : Pairing.params -> secret -> string -> signature
 

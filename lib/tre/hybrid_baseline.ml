@@ -30,17 +30,15 @@ let encrypt prms (srv : Tre.Server.public) (pk : receiver_public) ~release_time 
   let k2 = Hashing.Drbg.generate rng subkey_bytes in
   (* PKE leg: hashed ElGamal on K1. *)
   let r1 = Pairing.random_scalar prms rng in
-  let u1 = Curve.mul curve r1 prms.Pairing.g in
+  let u1 = Pairing.mul_g prms r1 in
   let c1 = Hashing.Kdf.xor k1 (elgamal_mask prms (Curve.mul curve r1 pk) subkey_bytes) in
-  (* IBE leg: Boneh-Franklin BasicIdent on K2 with identity = release time. *)
-  let r2 = Pairing.random_scalar prms rng in
-  let u2 = Curve.mul curve r2 srv.Tre.Server.g in
-  let gid =
-    Pairing.gt_pow prms
+  (* IBE leg: Boneh-Franklin BasicIdent on K2 with identity = release time,
+     U2 = r2 G and K = e^(sG, H1(T))^r2 on TRE's own seal. *)
+  let u2, c2 =
+    Tre.seal prms ~mul_u:(Tre.mul_generator prms srv ~reuse:false)
       (Pairing.pairing prms srv.Tre.Server.sg (Pairing.hash_to_g1 prms release_time))
-      r2
+      (Pairing.random_scalar prms rng) k2
   in
-  let c2 = Hashing.Kdf.xor k2 (Pairing.h2 prms gid subkey_bytes) in
   (* DEM: symmetric encryption under the combined key. *)
   let body = Hashing.Kdf.xor msg (combine_keys k1 k2 (String.length msg)) in
   { u1; c1; u2; c2; body; release_time }

@@ -25,18 +25,12 @@ let encrypt prms srv (pk : Tre.User.public) ~conditions rng msg =
   let conditions = normalize conditions in
   if conditions = [] then invalid_arg "Policy_lock.encrypt: no conditions";
   if not (Tre.validate_receiver_key prms srv pk) then raise Invalid_receiver_key;
-  let curve = prms.Pairing.curve in
-  let r = Pairing.random_scalar prms rng in
-  let k =
-    Pairing.pairing prms
-      (Curve.mul curve r pk.Tre.User.asg)
-      (combined_hash prms conditions)
+  let u, v =
+    Tre.seal prms ~mul_u:(Tre.mul_generator prms srv ~reuse:false)
+      (Pairing.pairing prms pk.Tre.User.asg (combined_hash prms conditions))
+      (Pairing.random_scalar prms rng) msg
   in
-  {
-    u = Curve.mul curve r srv.Tre.Server.g;
-    v = Hashing.Kdf.xor msg (Pairing.h2 prms k (String.length msg));
-    conditions;
-  }
+  { u; v; conditions }
 
 let decrypt prms a witnesses ct =
   (* Pick one witness per required condition; sum them into s * sum H1(C_i). *)
@@ -53,8 +47,6 @@ let decrypt prms a witnesses ct =
       (fun acc c -> Curve.add curve acc (find c))
       Curve.infinity ct.conditions
   in
-  let scalar = Tre.User.secret_to_scalar a in
-  let k = Pairing.gt_pow prms (Pairing.pairing prms ct.u combined_sig) scalar in
-  Hashing.Kdf.xor ct.v (Pairing.h2 prms k (String.length ct.v))
+  Tre.unseal prms a ct.u combined_sig ct.v
 
 let ciphertext_overhead prms = 4 + Pairing.point_bytes prms

@@ -15,7 +15,7 @@ let encrypt prms tree srv (pk : Tre.User.public) ~release_epoch rng msg =
   if not (Tre.validate_receiver_key prms srv pk) then raise Tre.Invalid_receiver_key;
   let curve = prms.Pairing.curve in
   let r = Pairing.random_scalar prms rng in
-  let u = Curve.mul curve r srv.Tre.Server.g in
+  let u = Tre.mul_generator prms srv ~reuse:false r in
   let rasg = Curve.mul curve r pk.Tre.User.asg in
   let msg_key = Hashing.Drbg.generate rng key_bytes in
   (* All depth+1 header pairings share the first argument r*asG; prepare
@@ -52,7 +52,6 @@ let verify_cover prms tree srv ~epoch updates =
      end
 
 let decrypt prms _tree a ~cover ct =
-  let scalar = Tre.User.secret_to_scalar a in
   (* The one ancestor of the release leaf present in the cover (if the
      cover's epoch has reached the release epoch). *)
   let usable =
@@ -67,8 +66,7 @@ let decrypt prms _tree a ~cover ct =
   match usable with
   | None -> None
   | Some (h, upd) ->
-      let k = Pairing.gt_pow prms (Pairing.pairing prms ct.u upd.Tre.update_value) scalar in
-      let msg_key = Hashing.Kdf.xor h.blob (Pairing.h2 prms k key_bytes) in
+      let msg_key = Tre.unseal prms a ct.u upd.Tre.update_value h.blob in
       Some (Hashing.Kdf.xor ct.body (body_mask msg_key (String.length ct.body)))
 
 let ciphertext_overhead prms tree =

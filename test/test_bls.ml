@@ -33,12 +33,29 @@ let test_infinity_signature_rejected () =
   Alcotest.(check bool) "infinity not valid for random msg" false
     (Bls.verify prms pk "some message" Curve.infinity)
 
+(* Generators a key must refuse: under G = O every public point is O, so
+   both sides of the verification equation are 1 and any signature
+   verifies; G plus the order-2 point is on the curve but outside G1. *)
+let bad_generators =
+  [ ("O", Curve.infinity);
+    ("G + order-2 point",
+     Curve.add prms.Pairing.curve prms.Pairing.g (Small_order.order_two prms)) ]
+
+let bad_generator = Invalid_argument "Bls: generator must be a non-identity G1 point"
+
 let test_custom_generator () =
   let g2 = Curve.mul prms.Pairing.curve (B.of_int 7) prms.Pairing.g in
   let sk2, pk2 = Bls.keygen ~g:g2 prms rng in
   let s = Bls.sign prms sk2 "msg" in
   Alcotest.(check bool) "custom generator verify" true (Bls.verify prms pk2 "msg" s);
-  Alcotest.(check bool) "not under default pk" false (Bls.verify prms pk "msg" s)
+  Alcotest.(check bool) "not under default pk" false (Bls.verify prms pk "msg" s);
+  let _, pk_g = Bls.keygen ~g:prms.Pairing.g prms rng in
+  Alcotest.(check bool) "G accepted" true (Curve.equal pk_g.Bls.g prms.Pairing.g);
+  List.iter
+    (fun (what, g) ->
+      Alcotest.check_raises ("keygen refuses " ^ what) bad_generator (fun () ->
+          ignore (Bls.keygen ~g prms rng)))
+    bad_generators
 
 let test_secret_of_scalar () =
   let sk1, pk1 = Bls.secret_of_scalar prms (B.of_int 12345) () in
@@ -50,7 +67,15 @@ let test_secret_of_scalar () =
   Alcotest.(check bool) "verify" true (Bls.verify prms pk1 "m" s);
   Alcotest.check_raises "zero scalar"
     (Invalid_argument "Bls.secret_of_scalar: scalar out of range") (fun () ->
-      ignore (Bls.secret_of_scalar prms B.zero ()))
+      ignore (Bls.secret_of_scalar prms B.zero ()));
+  let _, pk_g = Bls.secret_of_scalar prms (B.of_int 12345) ~g:prms.Pairing.g () in
+  Alcotest.(check bool) "G is the default" true
+    (Bls.public_to_bytes prms pk_g = Bls.public_to_bytes prms pk1);
+  List.iter
+    (fun (what, g) ->
+      Alcotest.check_raises ("secret_of_scalar refuses " ^ what) bad_generator (fun () ->
+          ignore (Bls.secret_of_scalar prms (B.of_int 12345) ~g ())))
+    bad_generators
 
 let test_batch_verify () =
   let pairs = List.init 10 (fun i ->
