@@ -23,10 +23,3 @@ let leak_to_string = function
 let leaks_to_string = function
   | [] -> "none"
   | leaks -> String.concat "," (List.map leak_to_string leaks)
-
-let pp fmt t =
-  Format.fprintf fmt
-    "%-18s msgs=%-8d bytes=%-10d state=%-10d sender-int=%-6d recv-int=%-6d leaks=%s"
-    t.scheme t.server_messages t.server_bytes t.server_state_bytes
-    t.sender_server_interactions t.receiver_server_interactions
-    (leaks_to_string t.leaks)

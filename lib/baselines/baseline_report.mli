@@ -17,6 +17,4 @@ type t = {
   leaks : leak list;  (** what the server learns *)
 }
 
-val leak_to_string : leak -> string
-val pp : Format.formatter -> t -> unit
 val leaks_to_string : leak list -> string

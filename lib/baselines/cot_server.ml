@@ -18,7 +18,6 @@ let create ~net ~name ~time_parameter_bits =
     messages = 0;
   }
 
-let name t = t.name
 let rounds_per_decryption t = (2 * t.bits) + 2
 let set_current_epoch t e = t.current_epoch <- e
 

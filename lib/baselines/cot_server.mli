@@ -21,7 +21,6 @@ val create : net:Simnet.t -> name:string -> time_parameter_bits:int -> t
 (** [time_parameter_bits] = ceil(log2 T): the resolution of the time
     space. *)
 
-val name : t -> string
 val rounds_per_decryption : t -> int
 
 val request_decryption :

@@ -30,8 +30,6 @@ let create ~net ~timeline ~name =
     deliveries = 0;
   }
 
-let name t = t.name
-
 let state_cost payload receiver =
   String.length payload + String.length receiver + 16 (* timestamps etc. *)
 
@@ -58,7 +56,6 @@ let deposit t ~sender ~receiver ~deliver ~release_epoch payload =
         ~at:(Float.max (Simnet.now t.net) (Timeline.start_of t.timeline release_epoch))
         (fun () -> deliver_one t entry))
 
-let run_epoch_deliveries _t = ()
 let stored_messages t = t.deposits
 let peak_state_bytes t = t.peak_state
 

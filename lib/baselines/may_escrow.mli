@@ -12,7 +12,6 @@
 type t
 
 val create : net:Simnet.t -> timeline:Timeline.t -> name:string -> t
-val name : t -> string
 
 val deposit :
   t ->
@@ -24,9 +23,6 @@ val deposit :
   unit
 (** Sender -> server message carrying the plaintext; the server schedules
     delivery at the release epoch. *)
-
-val run_epoch_deliveries : t -> unit
-(** Installed automatically by {!deposit}; exposed for tests. *)
 
 val stored_messages : t -> int
 val peak_state_bytes : t -> int

@@ -24,8 +24,6 @@ let create prms ~net ~timeline ~name =
     unicasts = 0;
   }
 
-let name t = t.name
-let server_public t = t.public
 
 let register t ~identity handler =
   (* Enrollment interaction: the server learns the receiver identity. *)

@@ -11,8 +11,6 @@
 type t
 
 val create : Pairing.params -> net:Simnet.t -> timeline:Timeline.t -> name:string -> t
-val name : t -> string
-val server_public : t -> Id_tre.Server.public
 
 val register : t -> identity:string -> (int -> Curve.point -> unit) -> unit
 (** The receiver must enroll — the server learns every receiver's
@@ -22,9 +20,6 @@ val registered_users : t -> int
 
 val start_epoch_deliveries : t -> first_epoch:int -> epochs:int -> unit
 (** Per epoch: one extraction + one unicast per registered user. *)
-
-val epoch_identity : t -> identity:string -> epoch:int -> string
-(** The augmented identity string [ID || T_e] used as the IBE public key. *)
 
 val encrypt :
   t -> identity:string -> release_epoch:int -> string -> Id_tre.ciphertext

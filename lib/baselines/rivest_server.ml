@@ -28,8 +28,6 @@ module Online = struct
   let create ~net ~timeline ~name ~seed =
     { net; timeline; name; seed; encryptions = 0; broadcasts = 0 }
 
-  let name t = t.name
-
   (* K_e from a one-way function of the seed; the server "does not have to
      remember anything except the seed". *)
   let epoch_key t epoch = Hashing.Hmac.mac ~key:t.seed (Printf.sprintf "epoch|%d" epoch)
@@ -102,8 +100,6 @@ module Offline_list = struct
     Simnet.broadcast net ~src:name ~kind:"future-key-list" ~bytes:bulk [];
     { prms; net; timeline; name; seed; horizon = horizon_epochs; publics; releases = 0 }
 
-  let name t = t.name
-  let horizon t = t.horizon
 
   let public_key_for t ~epoch =
     if epoch < 0 || epoch >= t.horizon then None else Some t.publics.(epoch)

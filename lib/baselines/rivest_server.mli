@@ -18,7 +18,6 @@ module Online : sig
   type t
 
   val create : net:Simnet.t -> timeline:Timeline.t -> name:string -> seed:string -> t
-  val name : t -> string
 
   val encrypt_via_server :
     t -> sender:string -> release_epoch:int -> string -> (string -> unit) -> unit
@@ -44,8 +43,6 @@ module Offline_list : sig
   (** Pre-publishes the whole key list for [horizon_epochs] immediately
       (one bulk broadcast, counted). *)
 
-  val name : t -> string
-  val horizon : t -> int
   val public_key_for : t -> epoch:int -> string option
   (** [None] beyond the horizon — the sender is stuck (footnote 2). *)
 

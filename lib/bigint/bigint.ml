@@ -38,7 +38,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 
 let neg a = make (-a.sign) a.mag
 let abs a = make (Stdlib.abs a.sign) a.mag
@@ -230,9 +229,6 @@ let of_string s =
     else parse_digits ~radix:10 body
   in
   make (if negative then -1 else 1) mag
-
-let of_string_opt s =
-  match of_string s with v -> Some v | exception Invalid_argument _ -> None
 
 let of_bytes_be s = make 1 (Nat.of_bytes_be s)
 

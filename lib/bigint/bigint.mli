@@ -24,7 +24,6 @@ val sign : t -> int
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val min : t -> t -> t
-val max : t -> t -> t
 val is_zero : t -> bool
 val is_even : t -> bool
 val is_odd : t -> bool
@@ -92,7 +91,6 @@ val of_string : string -> t
 (** Decimal, with optional sign, or hex with a ["0x"]/["-0x"] prefix.
     Raises [Invalid_argument] on malformed input. *)
 
-val of_string_opt : string -> t option
 val to_string : t -> string
 (** Decimal. *)
 

@@ -126,7 +126,6 @@ let inv_scratch k =
 
 let alloc ctx = Array.make ctx.k 0
 let limb_count ctx = ctx.k
-let modulus ctx = ctx.m
 
 let copy_into ctx dst src = Array.blit src 0 dst 0 ctx.k
 
@@ -139,13 +138,6 @@ let is_zero ctx a =
     orv := !orv lor a.(i)
   done;
   !orv = 0
-
-let equal ctx a b =
-  let d = ref 0 in
-  for i = 0 to ctx.k - 1 do
-    d := !d lor (a.(i) lxor b.(i))
-  done;
-  !d = 0
 
 (* --- the loop kernels ---
 

@@ -39,7 +39,6 @@ val create : Bigint.t -> ctx
     for a modulus wider than 31 limbs (899 bits), past the column-sum
     bound. *)
 
-val modulus : ctx -> Bigint.t
 val limb_count : ctx -> int
 
 (** {1 Buffers} *)
@@ -54,7 +53,6 @@ val set_one : ctx -> elt -> unit
 (** {1 Predicates} *)
 
 val is_zero : ctx -> elt -> bool
-val equal : ctx -> elt -> elt -> bool
 
 (** {1 Reduced kernels} — allocation-free, results canonical *)
 
@@ -87,5 +85,4 @@ val inv_into : ctx -> elt -> elt -> unit
 (** {1 Conversions} *)
 
 val of_bigint : ctx -> Bigint.t -> elt
-val of_bigint_into : ctx -> elt -> Bigint.t -> unit
 val to_bigint : ctx -> elt -> Bigint.t

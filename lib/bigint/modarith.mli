@@ -22,15 +22,6 @@ val jacobi : Bigint.t -> Bigint.t -> int
 (** Jacobi symbol [(a/n)] for odd positive [n]; in [{-1, 0, 1}].
     Raises [Invalid_argument] on even or non-positive [n]. *)
 
-val window_pow :
-  one:'a -> mul:('a -> 'a -> 'a) -> sqr:('a -> 'a) -> 'a -> Bigint.t -> 'a
-(** Generic left-to-right sliding-window exponentiation with an odd-powers
-    table (~t/(w+1) multiplications for a t-bit exponent instead of the
-    binary ladder's t/2), over the schedule of {!Bigint.sliding_windows}
-    that the in-place [Limbs.pow_into] and [Fp2.pow] share. Backs
-    {!Mont.pow}; exposed so any monoid can reuse it. Exponent must be
-    [>= 0]. *)
-
 (** Montgomery-form modular arithmetic for a fixed odd modulus. *)
 module Mont : sig
   type ctx
@@ -54,8 +45,8 @@ module Mont : sig
   val mul : ctx -> elt -> elt -> elt
   val sqr : ctx -> elt -> elt
   val pow : ctx -> elt -> Bigint.t -> elt
-  (** Sliding-window exponentiation ({!window_pow} over the Montgomery
-      ring). Exponent must be [>= 0]. *)
+  (** Sliding-window exponentiation with an odd-powers table, over the
+      schedule of {!Bigint.sliding_windows}. Exponent must be [>= 0]. *)
 
   val pow_binary : ctx -> elt -> Bigint.t -> elt
   (** Reference bit-by-bit square-and-multiply ladder; kept for the

@@ -105,7 +105,7 @@ let sub (a : t) (b : t) : t =
   assert (!borrow = 0);
   normalize out
 
-let mul_schoolbook (a : t) (b : t) : t =
+let mul (a : t) (b : t) : t =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then zero
   else begin
@@ -148,42 +148,19 @@ let mul_small (a : t) v =
     normalize out
   end
 
-let karatsuba_threshold = 32
-
-(* Split [a] at limb [k]: (low, high) with a = low + high * base^k. *)
-let split (a : t) k =
-  let n = Array.length a in
-  if n <= k then (a, zero)
-  else (normalize (Array.sub a 0 k), Array.sub a k (n - k))
-
-let rec mul (a : t) (b : t) : t =
-  let la = Array.length a and lb = Array.length b in
-  if la < karatsuba_threshold || lb < karatsuba_threshold then mul_schoolbook a b
-  else begin
-    let k = (max la lb + 1) / 2 in
-    let a0, a1 = split a k and b0, b1 = split b k in
-    let z0 = mul a0 b0 in
-    let z2 = mul a1 b1 in
-    let z1 = sub (mul (add a0 a1) (add b0 b1)) (add z0 z2) in
-    let shift_limbs v m =
-      if is_zero v then zero else Array.append (Array.make m 0) v
-    in
-    add z0 (add (shift_limbs z1 k) (shift_limbs z2 (2 * k)))
-  end
-
 (* Dedicated squaring: compute each cross product a_i * a_j (i < j) once,
    double the whole accumulator with a single 1-bit shift, then add the
    diagonal squares a_i^2. Roughly halves the partial products of
-   [mul_schoolbook a a]. Doubling cannot be fused into the inner loop:
+   [mul a a]. Doubling cannot be fused into the inner loop:
    2 * (2^31-1)^2 overflows 63 bits, so the shift happens on reduced
    limbs only. *)
-let sqr_schoolbook (a : t) : t =
+let sqr (a : t) : t =
   let n = Array.length a in
   if n = 0 then zero
   else begin
     let out = Array.make (2 * n) 0 in
     (* Cross products, each taken once. Same overflow analysis as
-       [mul_schoolbook]: product + limb + carry < 2^62. *)
+       [mul]: product + limb + carry < 2^62. *)
     for i = 0 to n - 2 do
       let ai = a.(i) in
       if ai <> 0 then begin
@@ -224,23 +201,6 @@ let sqr_schoolbook (a : t) : t =
       done
     done;
     normalize out
-  end
-
-let rec sqr (a : t) : t =
-  let n = Array.length a in
-  if n < karatsuba_threshold then sqr_schoolbook a
-  else begin
-    (* Karatsuba with squarings at the sub-problems:
-       (a0 + a1 B)^2 = a0^2 + [(a0+a1)^2 - a0^2 - a1^2] B + a1^2 B^2. *)
-    let k = (n + 1) / 2 in
-    let a0, a1 = split a k in
-    let z0 = sqr a0 in
-    let z2 = sqr a1 in
-    let z1 = sub (sqr (add a0 a1)) (add z0 z2) in
-    let shift_limbs v m =
-      if is_zero v then zero else Array.append (Array.make m 0) v
-    in
-    add z0 (add (shift_limbs z1 k) (shift_limbs z2 (2 * k)))
   end
 
 let divmod_small (a : t) d =

@@ -42,15 +42,15 @@ val sub : t -> t -> t
 (** Raises [Invalid_argument] if the result would be negative. *)
 
 val mul : t -> t -> t
-(** Karatsuba above an internal threshold, schoolbook below. *)
+(** Schoolbook: the widest product the system forms is 17 limbs (std160's
+    p, 512-bit time-lock moduli). *)
 
 val mul_small : t -> int -> t
 (** Second argument must be in [0, 2^31). *)
 
 val sqr : t -> t
 (** Dedicated squaring — each cross product computed once and doubled by a
-    single shift (Karatsuba-on-squarings above the same threshold as
-    {!mul}). Always equal to [mul a a], measurably cheaper. *)
+    single shift. Always equal to [mul a a], measurably cheaper. *)
 
 val divmod : t -> t -> t * t
 (** Knuth Algorithm D. Raises [Division_by_zero] on zero divisor. *)

@@ -18,6 +18,3 @@ val gen_prime_congruent :
 (** A [bits]-bit probable prime p with [p mod modulus = residue].
     Raises [Invalid_argument] if no residue class can contain primes
     (i.e. [gcd residue modulus > 1] and [residue <> modulus] is not prime). *)
-
-val small_primes : int list
-(** The primes below 1000, used for trial division. *)

@@ -24,21 +24,11 @@
 
 (** {1 Envelope} *)
 
-val magic : string
-(** ["TRE1"]. *)
-
-val version : int
-(** Current wire format version (1). *)
-
 val header_bytes : int
 (** Size of the envelope: 4 magic + 1 version + 1 kind + 8 fingerprint. *)
 
-val fingerprint_bytes : int
 val max_label_bytes : int
 (** Upper bound on time labels / identities (4096 bytes). *)
-
-val max_var_bytes : int
-(** Upper bound on any variable-length field (2^30 bytes). *)
 
 (** Wire object kinds; one tag per serialized type so that feeding an
     object to the wrong decoder dies on the envelope. *)
@@ -68,18 +58,10 @@ type kind =
   | Delegate_query      (** helper: blinded pairing query vector *)
   | Delegate_response   (** helper: pairing values for a query vector *)
 
-val all_kinds : kind list
-val kind_tag : kind -> int
-val kind_of_tag : int -> kind option
 val kind_label : kind -> string
 (** The armor header label, e.g. ["CIPHERTEXT FO"]. *)
 
 val kind_of_label : string -> kind option
-
-val params_fingerprint : Pairing.params -> string
-(** First 8 bytes of SHA-256 over the canonical serialization of the
-    parameter set (family, p, q — each length-prefixed). Structural: two
-    parameter sets agree iff they define the same group. *)
 
 (** {1 Length-prefixed hash inputs}
 
@@ -147,7 +129,6 @@ val fail : ('a, unit, string, 'b) format4 -> 'a
 (** Abort the current decode with a diagnostic (for scheme-level checks
     inside a [decode] body). Must only be called inside [decode]. *)
 
-val remaining : reader -> int
 val read_u8 : ?what:string -> reader -> int
 val read_u32 : ?what:string -> ?max:int -> reader -> int
 val read_u64 : ?what:string -> reader -> int

@@ -53,8 +53,6 @@ let create ?(a = 1) ?(b = 0) fp =
   { fp; a; b; a_is_zero = Fp.is_zero fp a; mont }
 
 let coeff_a ctx = ctx.a
-let coeff_b ctx = ctx.b
-let field ctx = ctx.fp
 let infinity = Infinity
 let is_infinity = function Infinity -> true | Affine _ -> false
 
@@ -709,8 +707,6 @@ module Table = struct
   }
 
   type t = table
-
-  let base t = t.base
 
   let create ?(w = 4) ctx ~bits base =
     if w < 1 || w > 8 then invalid_arg "Curve.Table.create: bad window width";

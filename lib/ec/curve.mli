@@ -24,8 +24,6 @@ val create : ?a:int -> ?b:int -> Fp.ctx -> ctx
     no square root mod p. *)
 
 val coeff_a : ctx -> Fp.t
-val coeff_b : ctx -> Fp.t
-val field : ctx -> Fp.ctx
 
 val infinity : point
 val is_infinity : point -> bool
@@ -87,9 +85,6 @@ module Table : sig
       fallback, just without the speedup). [w] is the window width in
       bits, default 4; the table holds [ceil bits/w * (2^w - 1)] affine
       points. *)
-
-  val base : t -> point
-  (** The point the table was built from. *)
 
   val mul : t -> Bigint.t -> point
   (** [mul t k] = [Curve.mul ctx k (base t)], computed from the table.

@@ -21,12 +21,10 @@
     complete frames as they materialize. Internal storage is compacted
     so a slow sender cannot grow the buffer beyond one maximal frame. *)
 
-val default_max_payload : int
-(** 1 MiB — far above any current wire object. *)
-
 val encode : string -> string
 (** [encode payload] is the 4-byte length prefix followed by the
-    payload. Raises [Invalid_argument] beyond {!default_max_payload}. *)
+    payload. Raises [Invalid_argument] beyond 1 MiB, far above any current
+    wire object. *)
 
 val add : Buffer.t -> string -> unit
 (** Append one frame to a buffer (same bytes as {!encode}). *)

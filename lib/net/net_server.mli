@@ -84,9 +84,6 @@ val current_epoch : t -> int
 val public : t -> Tre.Server.public
 val stats : t -> Netmsg.stats
 
-val backend : t -> Poller.backend
-(** The event backend the shards actually run on (after auto-detect). *)
-
 val backend_name : t -> string
 
 val stop : t -> unit

@@ -54,7 +54,7 @@ type delegate_query = {
   query_id : int;  (** echoed in the response so a thin client can
                        pipeline queries over one connection *)
   pairs : (Curve.point * Curve.point) array;
-      (** blinded pairing arguments, 1..{!max_delegate_pairs}; every
+      (** blinded pairing arguments, 1 to 16; every
           point must be a non-infinity order-q subgroup member (the
           decoder enforces it — blinded queries never leave G1) *)
 }
@@ -68,8 +68,6 @@ type delegate_response = {
           the hardened client-side check must see malicious responses
           unfiltered (see {!Codec.read_gt}). *)
 }
-
-val max_delegate_pairs : int
 
 val hello_to_bytes : Pairing.params -> hello -> string
 val hello_of_bytes : Pairing.params -> string -> (hello, string) result

@@ -26,7 +26,6 @@
 type ctx = { prms : Pairing.params; gt_g : Fp2.t }
 
 let make prms = { prms; gt_g = Pairing.pairing prms prms.Pairing.g prms.Pairing.g }
-let params ctx = ctx.prms
 
 type blinding = {
   v1 : Curve.point;

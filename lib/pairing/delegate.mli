@@ -40,7 +40,6 @@ type ctx
     [e^(G, G)] that anchors blinding-tuple construction. *)
 
 val make : Pairing.params -> ctx
-val params : ctx -> Pairing.params
 
 type blinding = {
   v1 : Curve.point;
@@ -96,15 +95,6 @@ val queries2 : wrap -> (Curve.point * Curve.point) array
 val serve : Pairing.params -> (Curve.point * Curve.point) array -> Fp2.t array
 (** The honest helper: one pairing per query slot. This is what the
     networked helper daemons run. *)
-
-val unwrap :
-  ctx -> wrap -> resp1:Fp2.t array -> resp2:Fp2.t array ->
-  (Fp2.t, string) result
-(** Recover the target pairing from the two replies: checks arity and
-    the anchored test slots, then returns
-    [resp1.(0) * resp2.(0) * resp2.(1) * chi] — three GT
-    multiplications, no exponentiation. The anchored-slot check alone
-    is NOT sound against a malicious helper (see {!mode}). *)
 
 type transport = (Curve.point * Curve.point) array -> Fp2.t array
 (** A helper channel: local {!serve}, a socket round-trip, or a

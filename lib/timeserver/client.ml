@@ -36,7 +36,6 @@ let create prms ~net ~server ~name =
 
 let name t = t.name
 let public_key t = t.public
-let secret t = t.secret
 
 let try_decrypt t ct =
   match Hashtbl.find_opt t.updates ct.Tre.release_time with

@@ -50,5 +50,3 @@ val rejected_updates : t -> int
 (** Broadcasts that failed BLS verification (forged/corrupted). *)
 
 (**/**)
-
-val secret : t -> Tre.User.secret

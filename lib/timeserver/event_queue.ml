@@ -17,7 +17,6 @@ type 'a t = {
 }
 
 let create () = { heap = [||]; size = 0; next_seq = 0 }
-let length t = t.size
 let is_empty t = t.size = 0
 
 let get t i =

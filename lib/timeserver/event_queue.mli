@@ -6,7 +6,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val length : 'a t -> int
 val is_empty : 'a t -> bool
 val push : 'a t -> at:float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option

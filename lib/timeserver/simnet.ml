@@ -132,5 +132,3 @@ let sent_by t name = List.filter (fun m -> m.src = name) (trace t)
 
 let total_bytes_by t name =
   List.fold_left (fun acc m -> acc + m.bytes) 0 (sent_by t name)
-
-let message_count_by t name = List.length (sent_by t name)

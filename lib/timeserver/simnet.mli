@@ -38,8 +38,6 @@ val rng : t -> Hashing.Drbg.t
 val schedule : t -> at:float -> (unit -> unit) -> unit
 (** Run a thunk at an absolute simulated time (>= now). *)
 
-val schedule_in : t -> delay:float -> (unit -> unit) -> unit
-
 val send :
   t -> src:string -> dst:string -> kind:string -> bytes:int ->
   (unit -> unit) -> unit
@@ -85,4 +83,3 @@ val trace : t -> message list
 val sent_to : t -> string -> message list
 val sent_by : t -> string -> message list
 val total_bytes_by : t -> string -> int
-val message_count_by : t -> string -> int

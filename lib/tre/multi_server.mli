@@ -28,9 +28,6 @@ val receiver_keygen :
   Tre.User.secret * receiver_public
 (** The receiver forms K_new against the chosen server set. *)
 
-val receiver_public_of_secret :
-  Pairing.params -> Tre.Server.public list -> Tre.User.secret -> receiver_public
-
 val validate_receiver_key :
   Pairing.params -> Tre.Server.public list -> receiver_public -> bool
 (** The sender's check (the "same trick" of §5.3.4):
@@ -52,13 +49,10 @@ val decrypt :
     K = prod_i e^(rG_i, s_i H1(T))^a. Raises {!Wrong_update_count} or
     {!Update_mismatch} as appropriate. *)
 
-val max_servers : int
-(** Upper bound on the per-ciphertext server count accepted on the wire. *)
-
 val ciphertext_to_bytes : Pairing.params -> ciphertext -> string
 val ciphertext_of_bytes : Pairing.params -> string -> (ciphertext, string) result
 (** Strict {!Codec} envelope (kind [CIPHERTEXT MULTI]); the server count
-    is bounded by {!max_servers} and checked before any point decoding.
+    is bounded (at most 255) and checked before any point decoding.
     Never raises on decode; encode raises [Invalid_argument] on an empty
     or oversized point array. *)
 
@@ -67,5 +61,3 @@ val receiver_public_of_bytes :
   Pairing.params -> string -> (receiver_public, string) result
 (** Strict {!Codec} envelope (kind [MULTI RECEIVER KEY]) for the
     receiver's (aG, K_new) pair. Never raises. *)
-
-val ciphertext_overhead : Pairing.params -> n_servers:int -> int

@@ -34,10 +34,6 @@ let leaves_of t node =
   let span = 1 lsl (t.depth - node.level) in
   (node.index * span, ((node.index + 1) * span) - 1)
 
-let covers_leaf t node e =
-  let lo, hi = leaves_of t node in
-  lo <= e && e <= hi
-
 (* Minimal decomposition of [0..e] into maximal full subtrees: writing
    e + 1 = sum of powers 2^k (largest first), each power is one aligned
    subtree of 2^k consecutive leaves. Cover size = popcount(e+1)

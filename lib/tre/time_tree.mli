@@ -44,8 +44,5 @@ val cover : t -> int -> node list
 (** Canonical cover of [0..e] by maximal full subtrees; at most
     [depth + 1] nodes, in increasing leaf order. *)
 
-val covers_leaf : t -> node -> int -> bool
-(** Is the given epoch's leaf inside this node's subtree? *)
-
 val leaves_of : t -> node -> int * int
 (** Inclusive leaf-epoch range under a node. *)

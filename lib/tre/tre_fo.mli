@@ -46,10 +46,6 @@ val ciphertext_of_bytes : Pairing.params -> string -> (ciphertext, string) resul
     [V] to be exactly the committed-seed width and accepts only the
     canonical encoding. Never raises. *)
 
-val ciphertext_overhead : Pairing.params -> int
-(** Bytes beyond the plaintext: envelope + point + 32-byte committed seed
-    + framing. *)
-
 (**/**)
 
 val h3 :

@@ -39,8 +39,6 @@ val ciphertext_of_bytes : Pairing.params -> string -> (ciphertext, string) resul
     widths are enforced and only the canonical encoding is accepted.
     Never raises. *)
 
-val ciphertext_overhead : Pairing.params -> int
-
 (**/**)
 
 val tag :

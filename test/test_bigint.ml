@@ -94,10 +94,9 @@ let prop_sqr =
   QCheck2.Test.make ~name:"sqr a = a*a" ~count:300 (gen_bigint ())
     (fun a -> B.equal (B.sqr a) (B.mul a a))
 
-(* Nat.sqr has a dedicated schoolbook + Karatsuba implementation; pin it
-   to [mul a a] exactly at the limb counts where the algorithm changes
-   shape (single limb, around the 32-limb Karatsuba threshold, and around
-   the first recursive split at twice the threshold). *)
+(* Nat.sqr has a dedicated implementation (cross products once, doubled
+   by one shift); pin it to [mul a a] exactly from a single limb up to
+   128 limbs, well past the 17 the system's widest operands take. *)
 let test_nat_sqr_limb_widths () =
   let rng = Hashing.Drbg.create ~seed:"nat-sqr-widths" () in
   Alcotest.(check bool) "zero" true (Nat.equal (Nat.sqr Nat.zero) Nat.zero);
@@ -121,10 +120,10 @@ let prop_nat_sqr =
       let n = Bigint.magnitude a in
       Nat.equal (Nat.sqr n) (Nat.mul n n))
 
-let prop_karatsuba_vs_wide =
-  (* Force operands wide enough to cross the Karatsuba threshold and check
-     the identity (a+b)^2 = a^2 + 2ab + b^2 which mixes both paths. *)
-  QCheck2.Test.make ~name:"karatsuba consistency via (a+b)^2" ~count:50
+let prop_square_of_sum_wide =
+  (* Wide operands (up to 3000 bits) through the identity
+     (a+b)^2 = a^2 + 2ab + b^2, which mixes squarings and products. *)
+  QCheck2.Test.make ~name:"(a+b)^2 = a^2 + 2ab + b^2 (wide)" ~count:50
     QCheck2.Gen.(pair (gen_positive ~max_bits:3000 ()) (gen_positive ~max_bits:3000 ()))
     (fun (a, b) ->
       let lhs = B.sqr (B.add a b) in
@@ -552,7 +551,7 @@ let () =
           [
             prop_add_comm; prop_mul_comm; prop_mul_assoc; prop_distrib;
             prop_add_sub_inverse; prop_divmod_reconstruct; prop_erem_range; prop_sqr;
-            prop_nat_sqr; prop_karatsuba_vs_wide; prop_shift; prop_bit_length;
+            prop_nat_sqr; prop_square_of_sum_wide; prop_shift; prop_bit_length;
           ]
         @ [ Alcotest.test_case "Nat.sqr limb widths" `Quick test_nat_sqr_limb_widths ] );
       ( "codecs",
