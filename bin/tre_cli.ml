@@ -52,7 +52,7 @@ let load_with ~kind ~decode path =
 (* Secret-key payloads: server = scalar, generator point; user = scalar. *)
 
 let server_secret_to_bytes prms sec =
-  let pub = Tre.Server.public_of_secret prms sec in
+  let pub = Tre.Server.public_of_secret sec in
   Codec.encode prms Codec.Server_secret (fun buf ->
       Codec.add_scalar prms buf (Tre.Server.secret_to_scalar sec);
       Codec.add_point prms buf pub.Tre.Server.g)

@@ -18,7 +18,7 @@ let create ?(cache_limit = 4096) ~wrap prms timeline secret =
     prms;
     timeline;
     secret;
-    public = Tre.Server.public_of_secret prms secret;
+    public = Tre.Server.public_of_secret secret;
     wrap;
     cache_limit;
     cache = Hashtbl.create 64;

@@ -28,7 +28,7 @@ type system = {
 }
 
 type share_server
-(** One of the n share-holders; holds s_i only. *)
+(** One of the n share-holders; holds s_i only, as a {!Bls} key. *)
 
 type partial = { server_index : int; value : Curve.point }
 (** A partial update s_i * H1(T). *)
@@ -39,6 +39,7 @@ val setup :
     must forget s). Requires [1 <= k <= n]. *)
 
 val issue_partial : Pairing.params -> share_server -> Tre.time -> partial
+(** {!Bls.sign} of T under s_i. *)
 
 val verify_partial : Pairing.params -> system -> Tre.time -> partial -> bool
 (** {!Bls.verify_with} under (G, s_i G): e^(G, sigma_i) = e^(s_i G, H1(T))
